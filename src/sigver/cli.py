@@ -3,14 +3,12 @@
 Every subcommand accepts ``--config FILE`` with ``key = value`` lines
 (keys are the long option names with dashes or underscores); explicit
 flags override file values. All randomness flows from ``--seed``.
-Worker count comes from ``--threads`` or the SIGVER_THREADS variable.
 Exit status is 0 only when every requested output was written.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from pathlib import Path
 
@@ -24,7 +22,7 @@ from .dataset import (
     build_split,
     load_dataset,
 )
-from .dtw import DtwConfig, dtw_score, score_pairs_dtw, sffs_select, write_sffs_report
+from .dtw import DtwConfig, score_pairs_dtw, sffs_select, write_sffs_report
 from .features import extract_features, write_feature_csv
 from .metrics import (
     Protocol,
@@ -40,6 +38,7 @@ from .siamese import (
     ModelConfig,
     ModelFormatError,
     TrainConfig,
+    TrainingDiverged,
     init_model,
     load_model,
     save_model,
@@ -97,12 +96,6 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
             parsed = text
         sub.set_defaults(**{key: parsed})
         action.required = False
-
-
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    return max(1, int(os.environ.get("SIGVER_THREADS", "1")))
 
 
 def _columns(text: str) -> tuple:
@@ -253,7 +246,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError("evaluate needs --model and/or --baseline")
     if args.sffs and not args.baseline:
         raise UsageError("--sffs applies to the --baseline scorer")
-    threads = _threads(args)
     split = _split_from_args(args)
     pairs = build_pairs(split, EVALUATION)
     n_genuine = sum(p.label for p in pairs)
@@ -298,14 +290,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             dev_features = _load_features(split.records(DEVELOPMENT))
             columns, steps = sffs_select(
                 split, dev_features, k_max=args.sffs_k,
-                max_pairs=args.sffs_pairs, band=args.band, threads=threads,
+                max_pairs=args.sffs_pairs, band=args.band,
             )
             write_sffs_report(out / "sffs_report.txt", steps, columns)
             print(f"selected columns: {','.join(str(c) for c in columns)}")
         cfg = DtwConfig(selected_columns=columns, band=args.band)
         cfg.validate()
-        add_system("baseline",
-                   score_pairs_dtw(pairs, features, cfg, threads=threads))
+        add_system("baseline", score_pairs_dtw(pairs, features, cfg))
 
     write_results_csv(out / "results.csv", rows)
     write_det_csv(out / "det.csv", curves)
@@ -349,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value defaults file; flags win")
         p.add_argument("--seed", type=int, default=20240816,
                        help="seed for every stochastic component")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: SIGVER_THREADS or 1)")
 
     g = sub.add_parser("generate", help="write a synthetic SVC corpus")
     common(g)
@@ -438,8 +427,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ProtocolError, ModelFormatError, ValueError,
-            OSError) as exc:
+    except (ParseError, ProtocolError, ModelFormatError, TrainingDiverged,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

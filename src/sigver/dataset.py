@@ -73,9 +73,6 @@ class Pair:
     label: int
 
 
-PairList = list
-
-
 def _sig_sort_key(rec: SignatureRecord):
     return (rec.session, rec.sample_index, rec.key)
 

@@ -95,18 +95,13 @@ def dtw_score(a, b, cfg: DtwConfig = DtwConfig()) -> float:
     return -dtw_distance(a, b, cfg)
 
 
-def score_pairs_dtw(pairs: list, features: dict, cfg: DtwConfig = DtwConfig(),
-                    threads: int = 1) -> np.ndarray:
+def score_pairs_dtw(pairs: list, features: dict,
+                    cfg: DtwConfig = DtwConfig()) -> np.ndarray:
     """DTW scores for a pair list, in pair order."""
-    def one(pair) -> float:
-        return dtw_score(features[pair.enroll_key], features[pair.probe_key], cfg)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.array(list(pool.map(one, pairs)))
-    return np.array([one(p) for p in pairs])
+    return np.array([
+        dtw_score(features[p.enroll_key], features[p.probe_key], cfg)
+        for p in pairs
+    ])
 
 
 @dataclass
@@ -140,7 +135,6 @@ def sffs_select(
     k_max: int = 9,
     max_pairs: int | None = 500,
     band: int = 0,
-    threads: int = 1,
 ) -> tuple[tuple, list[SffsStep]]:
     """Sequential floating forward selection of DTW feature columns.
 
@@ -159,7 +153,7 @@ def sffs_select(
 
     def eer_of(cols: tuple) -> float:
         cfg = DtwConfig(selected_columns=tuple(sorted(cols)), band=band)
-        scores = score_pairs_dtw(pairs, features, cfg, threads=threads)
+        scores = score_pairs_dtw(pairs, features, cfg)
         agg = aggregate_4vs1(pairs, scores, system="baseline")
         return compute_eer(agg)[0]
 

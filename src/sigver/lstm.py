@@ -302,17 +302,6 @@ def lstm_forward(
     return outputs[0], LstmState(h=h[0], C=C[0]), cache
 
 
-def lstm_backward(
-    params: LstmParams,
-    cache: dict,
-    grad_h: np.ndarray,
-) -> tuple[LstmParams, np.ndarray]:
-    """Gradients for a single-sequence forward."""
-    grad_h = np.asarray(grad_h, dtype=np.float64)
-    grads, dinputs = lstm_backward_batch(params, cache, grad_h[None])
-    return grads, dinputs[0]
-
-
 def dense_sigmoid(params: DenseParams, x: np.ndarray) -> float:
     """Logistic readout sigma(w.x + b)."""
     x = np.asarray(x, dtype=np.float64)

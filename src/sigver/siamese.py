@@ -335,10 +335,6 @@ def batch_loss_grads(
     return float(losses.mean()), grad, scores
 
 
-def _copy_model(model: SiameseModel) -> SiameseModel:
-    return unpack_params(model, pack_params(model))
-
-
 def train(
     model: SiameseModel,
     pairs: list,

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from sigver import cli
+from sigver.siamese import TrainingDiverged
 
 
 def run(*argv) -> int:
@@ -82,9 +83,11 @@ class TestConfigFile:
 
     def test_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "gen.cfg"
-        cfg.write_text("wobble = 9\n")
-        assert run("generate", "--config", cfg, "--out", tmp_path / "c") == 2
-        assert "unknown option 'wobble'" in capsys.readouterr().err
+        for key in ("wobble", "threads"):
+            cfg.write_text(f"{key} = 2\n")
+            assert run("generate", "--config", cfg,
+                       "--out", tmp_path / "c") == 2
+            assert f"unknown option {key!r}" in capsys.readouterr().err
 
     def test_bad_line(self, tmp_path, capsys):
         cfg = tmp_path / "gen.cfg"
@@ -160,6 +163,16 @@ class TestTrain:
                    "--out", tmp_path / "m") == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_diverged_training_is_a_runtime_error(self, corpus, tmp_path,
+                                                  capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise TrainingDiverged("training cost became nan at iteration 3")
+
+        monkeypatch.setattr(cli, "train", diverge)
+        assert run("train", "--data", corpus, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err == "error: training cost became nan at iteration 3\n"
+
 
 class TestEvaluate:
     def test_echoes_protocol_counts(self, corpus, model_dir, tmp_path, capsys):
@@ -205,6 +218,15 @@ class TestEvaluate:
                    "--out", tmp_path) == 2
         assert "--sffs applies to the --baseline scorer" \
             in capsys.readouterr().err
+
+    def test_threads_option_is_gone(self, corpus, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("evaluate", "--data", corpus, "--baseline",
+                "--out", tmp_path, "--threads", 2)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --threads 2" in err
+        assert "Traceback" not in err
 
     def test_sffs_writes_report(self, corpus, tmp_path, capsys):
         assert run("evaluate", "--data", corpus, "--baseline", "--sffs",

@@ -237,15 +237,6 @@ def test_subsampling_keeps_probe_groups_whole():
     assert _complete_probe_subsample(pairs, None) is pairs
 
 
-def test_threaded_scoring_matches_serial():
-    split, features = informative_corpus()
-    pairs = build_pairs(split, DEVELOPMENT)[:12]
-    cfg = DtwConfig(selected_columns=(1, 2))
-    serial = score_pairs_dtw(pairs, features, cfg, threads=1)
-    threaded = score_pairs_dtw(pairs, features, cfg, threads=4)
-    assert np.array_equal(serial, threaded)
-
-
 def test_sffs_report_format(tmp_path):
     steps = [
         SffsStep("add", 5, 12.5, (5,)),
