@@ -54,40 +54,96 @@ def _selected_values(seq, cols: tuple) -> np.ndarray:
     return values[:, idx]
 
 
+# Upper bound on the padded cells (pairs x rows x columns) swept together;
+# at 16 bytes a cell, one chunk's cost tensor stays within 16 MB.
+CHUNK_CELLS = 1 << 20
+
+
+def dtw_distances(pairs: list, band: int = 0) -> np.ndarray:
+    """Normalized alignment distances for column-selected ``(a, b)`` pairs.
+
+    Pairs are sorted by size and swept in chunks of at most
+    ``CHUNK_CELLS`` padded cells; within a chunk the anti-diagonals of
+    every pair advance together. Each cell sees the same float operations
+    as a sweep of its pair alone, so the distances do not depend on how
+    pairs are batched. Returns the distances in pair order.
+    """
+    out = np.empty(len(pairs))
+    order = sorted(range(len(pairs)), key=lambda p: len(pairs[p][0]) + len(pairs[p][1]))
+    chunk: list = []
+    rows = cols = 0
+    for p in order:
+        n, m = len(pairs[p][0]), len(pairs[p][1])
+        if chunk and (len(chunk) + 1) * max(rows, n) * max(cols, m) > CHUNK_CELLS:
+            out[chunk] = _sweep([pairs[q] for q in chunk], band)
+            chunk, rows, cols = [], 0, 0
+        chunk.append(p)
+        rows, cols = max(rows, n), max(cols, m)
+    if chunk:
+        out[chunk] = _sweep([pairs[q] for q in chunk], band)
+    return out
+
+
+def _sweep(pairs: list, band: int) -> np.ndarray:
+    """One anti-diagonal sweep over a chunk of pairs; see ``dtw_distances``.
+
+    A cell holds the complex number total + 1j * length. numpy orders
+    complex numbers lexicographically, so the minimum of the up, left and
+    diagonal predecessors is the cheapest one and, among equally cheap
+    ones, the shortest: the tie-break. Adding the cell's cost + 1j then
+    extends that path by one cell.
+    """
+    sizes = np.array([(len(a), len(b)) for a, b in pairs])
+    n_pairs = len(pairs)
+    N, M = sizes.max(axis=0)
+    # cost[i, j, p] + 1j; cells outside a pair's own n x m rectangle are inf
+    cost = np.full((N, M, n_pairs), complex(np.inf, 1.0))
+    for p, (a, b) in enumerate(pairs):
+        c = cdist(a, b, "sqeuclidean")
+        if band > 0:
+            # slope-corrected band: always wide enough to reach the far corner
+            n, m = c.shape
+            width = max(band, abs(n - m))
+            c[~np.tri(n, m, width, dtype=bool) | np.tri(n, m, -width - 1, dtype=bool)] = np.inf
+        cost.real[: c.shape[0], : c.shape[1], p] = c
+    # diagonal[k, i] = cost[i, k - i]; every offset stays inside the buffer,
+    # and the sweep reads only rows with 0 <= k - i < M
+    diagonal = np.lib.stride_tricks.as_strided(
+        cost, shape=(N + M - 1, N, n_pairs),
+        strides=(cost.strides[1], cost.strides[0] - cost.strides[1], cost.strides[2]),
+        writeable=False)
+
+    # Diagonal k is stored by row i in slot i + 1 of an (N + 1) x pairs
+    # buffer whose slot 0 is an inf sentinel, so the up, left and diagonal
+    # predecessors of row i are slots i and i + 1 of diagonal k - 1 and
+    # slot i of diagonal k - 2. Only the last two diagonals are kept; slots
+    # a diagonal does not reach stay inf.
+    state = [np.full((N + 1, n_pairs), complex(np.inf, 1.0)) for _ in range(2)]
+    state[0][1] = cost[0, 0]
+    # each pair's result sits on its own last diagonal n + m - 2, row n - 1
+    last = sizes.sum(axis=1) - 2
+    ends = {k: np.flatnonzero(last == k) for k in np.unique(last)}
+    out = np.empty(n_pairs)
+    for k in range(N + M - 1):
+        lo, hi = max(0, k - M + 1), min(N - 1, k)
+        prev, cur = state[(k - 1) % 2], state[k % 2]  # cur holds diagonal k - 2
+        if k:
+            best = np.minimum(np.minimum(prev[lo : hi + 1], prev[lo + 1 : hi + 2]),
+                              cur[lo : hi + 1])
+            np.add(diagonal[k, lo : hi + 1], best, out=cur[lo + 1 : hi + 2])
+        done = ends.get(k)
+        if done is not None:
+            cell = cur[sizes[done, 0], done]
+            out[done] = cell.real / cell.imag
+    return out
+
+
 def dtw_distance(a, b, cfg: DtwConfig = DtwConfig()) -> float:
     """Normalized alignment distance between two feature sequences."""
     cfg.validate()
-    va = _selected_values(a, cfg.selected_columns)
-    vb = _selected_values(b, cfg.selected_columns)
-    cost = cdist(va, vb, "sqeuclidean")
-    n, m = cost.shape
-
-    if cfg.band > 0:
-        # slope-corrected band: always wide enough to reach the far corner
-        width = max(cfg.band, abs(n - m))
-        i_idx, j_idx = np.indices((n, m))
-        cost = np.where(np.abs(i_idx - j_idx) <= width, cost, np.inf)
-
-    total = np.full((n, m), np.inf)
-    length = np.ones((n, m), dtype=np.int64)
-    total[0, 0] = cost[0, 0]
-    # anti-diagonal sweep: cells on diagonal k depend only on k-1 and k-2
-    for k in range(1, n + m - 1):
-        i = np.arange(max(0, k - m + 1), min(n, k + 1))
-        j = k - i
-        up_ok, left_ok = i > 0, j > 0
-        iu, jl = np.maximum(i - 1, 0), np.maximum(j - 1, 0)
-        c_up = np.where(up_ok, total[iu, j], np.inf)
-        c_left = np.where(left_ok, total[i, jl], np.inf)
-        c_diag = np.where(up_ok & left_ok, total[iu, jl], np.inf)
-        best = np.minimum(np.minimum(c_up, c_left), c_diag)
-        l_up = np.where(c_up == best, length[iu, j], np.iinfo(np.int64).max)
-        l_left = np.where(c_left == best, length[i, jl], np.iinfo(np.int64).max)
-        l_diag = np.where(c_diag == best, length[iu, jl], np.iinfo(np.int64).max)
-        total[i, j] = cost[i, j] + best
-        length[i, j] = np.minimum(np.minimum(l_up, l_left), l_diag) + 1
-
-    return float(total[n - 1, m - 1] / length[n - 1, m - 1])
+    cols = cfg.selected_columns
+    pair = (_selected_values(a, cols), _selected_values(b, cols))
+    return float(dtw_distances([pair], cfg.band)[0])
 
 
 def dtw_score(a, b, cfg: DtwConfig = DtwConfig()) -> float:
@@ -98,10 +154,11 @@ def dtw_score(a, b, cfg: DtwConfig = DtwConfig()) -> float:
 def score_pairs_dtw(pairs: list, features: dict,
                     cfg: DtwConfig = DtwConfig()) -> np.ndarray:
     """DTW scores for a pair list, in pair order."""
-    return np.array([
-        dtw_score(features[p.enroll_key], features[p.probe_key], cfg)
-        for p in pairs
-    ])
+    cfg.validate()
+    keys = {k for p in pairs for k in (p.enroll_key, p.probe_key)}
+    values = {k: _selected_values(features[k], cfg.selected_columns) for k in keys}
+    return -dtw_distances(
+        [(values[p.enroll_key], values[p.probe_key]) for p in pairs], cfg.band)
 
 
 @dataclass

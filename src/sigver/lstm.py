@@ -123,12 +123,16 @@ def lstm_forward_batch(
     inputs: np.ndarray,
     mask: np.ndarray | None = None,
     initial: LstmState | None = None,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict]:
+    keep_cache: bool = True,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict | None]:
     """Run B sequences of length T through the layer.
 
     inputs: (B, T, D); mask: (B, T) booleans, default all-valid.
     Returns (outputs (B, T, H), (final h (B, H), final C (B, H)), cache).
-    The cache feeds lstm_backward_batch.
+    The cache feeds lstm_backward_batch. With ``keep_cache=False`` the
+    per-step gates and cell states are not kept, which saves most of the
+    memory of a scoring pass, and the cache is None; the outputs are the
+    same bit for bit.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3:
@@ -160,8 +164,9 @@ def lstm_forward_batch(
     inputs_t = np.ascontiguousarray(inputs.transpose(1, 0, 2))
     mask_t = np.ascontiguousarray(mask.T)
     out_t = np.empty((n_steps, n_batch, h_size))
-    gates = np.empty((n_steps, n_batch, 4 * h_size))
-    c_prev = np.empty((n_steps, n_batch, h_size))
+    kept = n_steps if keep_cache else 1  # without a cache, step t reuses slot 0
+    gates = np.empty((kept, n_batch, 4 * h_size))
+    c_prev = np.empty((kept, n_batch, h_size))
     c_tanh = np.empty_like(c_prev)
     pre = np.empty((n_batch, 4 * h_size))
     rec = np.empty_like(pre)
@@ -171,16 +176,17 @@ def lstm_forward_batch(
         pre += b
         np.matmul(h, W_hT, out=rec)
         pre += rec
-        gt = gates[t]
+        slot = t if keep_cache else 0
+        gt = gates[slot]
         expit(pre[:, : 3 * h_size], out=gt[:, : 3 * h_size])
         np.tanh(pre[:, 3 * h_size :], out=gt[:, 3 * h_size :])
         f = gt[:, :h_size]
         i = gt[:, h_size : 2 * h_size]
         o = gt[:, 2 * h_size : 3 * h_size]
         g = gt[:, 3 * h_size :]
-        c_prev[t] = C
+        c_prev[slot] = C
         C_new = f * C + i * g
-        tC = np.tanh(C_new, out=c_tanh[t])
+        tC = np.tanh(C_new, out=c_tanh[slot])
         h_new = o * tC
 
         m = mask_t[t][:, None]
@@ -192,7 +198,7 @@ def lstm_forward_batch(
         "gates": gates, "c_prev": c_prev, "c_tanh": c_tanh,
         "out_t": out_t, "inputs_t": inputs_t, "mask_t": mask_t, "h0": h0,
         "W_hT": W_hT, "W_xT": W_xT, "hidden": h_size, "input": d,
-    }
+    } if keep_cache else None
     return np.ascontiguousarray(out_t.transpose(1, 0, 2)), (h, C), cache
 
 

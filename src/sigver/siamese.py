@@ -164,10 +164,12 @@ def _collate(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return inputs, mask, lengths
 
 
-def _forward_pairs(model: SiameseModel, seq_a: list, seq_b: list):
+def _forward_pairs(model: SiameseModel, seq_a: list, seq_b: list,
+                   keep_cache: bool = True):
     """Score a batch of pairs; returns (scores, directed sigmoids, context).
 
-    The context dict carries every intermediate needed by _backward_pairs.
+    The context dict carries every intermediate needed by _backward_pairs;
+    with ``keep_cache=False`` (scoring only) its LSTM caches are None.
     """
     cfg = model.config
     n = len(seq_a)
@@ -185,7 +187,7 @@ def _forward_pairs(model: SiameseModel, seq_a: list, seq_b: list):
 
     branch_in, branch_mask, lengths = _collate(values_a + values_b)
     branch_out, _, branch_cache = lstm_forward_batch(
-        model.branch, branch_in, branch_mask
+        model.branch, branch_in, branch_mask, keep_cache=keep_cache
     )
     hb = model.branch.hidden_size
     pair_len = np.maximum(lengths[:n], lengths[n:])
@@ -211,7 +213,8 @@ def _forward_pairs(model: SiameseModel, seq_a: list, seq_b: list):
     else:
         merge_mask = merge_valid
 
-    merge_out, _, merge_cache = lstm_forward_batch(model.merge, merge_in, merge_mask)
+    merge_out, _, merge_cache = lstm_forward_batch(model.merge, merge_in, merge_mask,
+                                                   keep_cache=keep_cache)
     m_rows = merge_out.shape[0]
     if cfg.readout == "last":
         readout = merge_out[np.arange(m_rows), readout_idx]
@@ -286,7 +289,7 @@ def _backward_pairs(model: SiameseModel, context: dict, dz: np.ndarray) -> np.nd
 
 def score_pair(model: SiameseModel, a, b) -> float:
     """Similarity of two feature sequences, in (0, 1)."""
-    scores, _, _ = _forward_pairs(model, [a], [b])
+    scores, _, _ = _forward_pairs(model, [a], [b], keep_cache=False)
     return float(scores[0])
 
 
@@ -298,7 +301,8 @@ def score_pairs(model: SiameseModel, seq_a: list, seq_b: list,
     out = np.empty(len(seq_a))
     for lo in range(0, len(seq_a), batch_size):
         hi = min(lo + batch_size, len(seq_a))
-        scores, _, _ = _forward_pairs(model, seq_a[lo:hi], seq_b[lo:hi])
+        scores, _, _ = _forward_pairs(model, seq_a[lo:hi], seq_b[lo:hi],
+                                      keep_cache=False)
         out[lo:hi] = scores
     return out
 
@@ -430,11 +434,14 @@ def train(
 
 
 def write_training_log(history: list[dict], path) -> None:
+    """CSV of the per-iteration cost and development EERs.
+
+    The wall-clock ``seconds`` of each history row is left out, so a
+    fixed seed gives a byte-identical log.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["iteration", "cost", "dev_eer_1vs1", "dev_eer_4vs1", "seconds"]
-        )
+        writer.writerow(["iteration", "cost", "dev_eer_1vs1", "dev_eer_4vs1"])
         for row in history:
             writer.writerow(
                 [
@@ -442,7 +449,6 @@ def write_training_log(history: list[dict], path) -> None:
                     f"{row['cost']:.6f}",
                     "" if np.isnan(row["dev_eer_1vs1"]) else f"{row['dev_eer_1vs1']:.4f}",
                     "" if np.isnan(row["dev_eer_4vs1"]) else f"{row['dev_eer_4vs1']:.4f}",
-                    f"{row['seconds']:.2f}",
                 ]
             )
 

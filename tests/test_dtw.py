@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
-from sigver.dataset import ProtocolConfig, build_pairs, build_split, DEVELOPMENT
+from sigver import dtw
+from sigver.dataset import Pair, ProtocolConfig, build_pairs, build_split, DEVELOPMENT
 from sigver.dtw import (
     ALL_COLUMNS,
     DtwConfig,
     SffsStep,
     _complete_probe_subsample,
     dtw_distance,
+    dtw_distances,
     dtw_score,
     score_pairs_dtw,
     sffs_select,
@@ -121,6 +124,103 @@ def test_input_validation(rng):
         DtwConfig(selected_columns=(0, 5)).validate()
     with pytest.raises(ValueError, match="band"):
         DtwConfig(selected_columns=(1,), band=-1).validate()
+
+
+# --- the batched kernel ---
+
+# lengths 1 and 7, very unequal pairs (1 x 300, 300 x 1) and ordinary ones
+MIXED_SIZES = [(1, 1), (1, 7), (7, 1), (7, 7), (1, 300), (300, 1),
+               (3, 50), (50, 3), (20, 25), (40, 12), (33, 33), (9, 60)]
+
+
+def scalar_dtw(a: np.ndarray, b: np.ndarray, band: int = 0) -> float:
+    """Cell-by-cell dynamic programme in plain Python floats.
+
+    The same local costs, the same min-then-add per cell and the same
+    shortest-path tie-break as the kernel, so the results must agree
+    bit for bit.
+    """
+    cost = cdist(a, b, "sqeuclidean")
+    n, m = cost.shape
+    width = max(band, abs(n - m))
+    inf = float("inf")
+    total = [[inf] * m for _ in range(n)]
+    length = [[1] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            c = inf if band > 0 and abs(i - j) > width else float(cost[i, j])
+            if i == j == 0:
+                total[0][0] = c
+                continue
+            up = total[i - 1][j] if i > 0 else inf
+            left = total[i][j - 1] if j > 0 else inf
+            diag = total[i - 1][j - 1] if i > 0 and j > 0 else inf
+            best = min(min(up, left), diag)
+            total[i][j] = c + best
+            length[i][j] = 1 + min(
+                length[i - 1][j] if i > 0 and up == best else np.inf,
+                length[i][j - 1] if j > 0 and left == best else np.inf,
+                length[i - 1][j - 1] if i > 0 and j > 0 and diag == best else np.inf,
+            )
+    return total[n - 1][m - 1] / length[n - 1][m - 1]
+
+
+def mixed_pairs(rng, sizes=MIXED_SIZES, dims=3):
+    return [(rng.normal(0, 1, (n, dims)), rng.normal(0, 1, (m, dims)))
+            for n, m in sizes]
+
+
+@pytest.mark.parametrize("band", [0, 2, 10])
+def test_batch_equals_per_pair_bit_for_bit(rng, monkeypatch, band):
+    pairs = mixed_pairs(rng)
+    cfg = DtwConfig(selected_columns=(1, 2, 3), band=band)
+    per_pair = np.array([dtw_distance(a, b, cfg) for a, b in pairs])
+    reference = np.array([scalar_dtw(a, b, band) for a, b in pairs])
+    one_chunk = dtw_distances(pairs, band)
+    monkeypatch.setattr(dtw, "CHUNK_CELLS", 700)  # several chunks
+    chunked = dtw_distances(pairs, band)
+    for got in (per_pair, one_chunk, chunked):
+        assert np.array_equal(got, reference)
+    # band 2 is narrower than |n - m| for most pairs; the slope
+    # correction keeps every distance finite
+    assert np.all(np.isfinite(reference))
+
+
+def test_batching_and_order_do_not_change_scores(rng):
+    pairs = mixed_pairs(rng)
+    whole = dtw_distances(pairs)
+    perm = rng.permutation(len(pairs))
+    shuffled = dtw_distances([pairs[k] for k in perm])
+    assert np.array_equal(shuffled, whole[perm])
+    halves = np.concatenate([dtw_distances(pairs[:5]), dtw_distances(pairs[5:])])
+    assert np.array_equal(halves, whole)
+
+
+def test_score_pairs_dtw_orders_and_negates(rng):
+    features = {f"s{k}": rng.normal(0, 1, (n, N_FEATURES))
+                for k, n in enumerate((1, 7, 30, 300))}
+    keys = sorted(features)
+    pairs = [Pair("w0", 0, k, a, b, 1) for k, (a, b) in
+             enumerate((a, b) for a in keys for b in keys)]
+    got = score_pairs_dtw(pairs, features, THREE)
+    want = [-dtw_distance(features[p.enroll_key], features[p.probe_key], THREE)
+            for p in pairs]
+    assert np.array_equal(got, want)
+
+
+def test_empty_pair_list():
+    got = score_pairs_dtw([], {}, THREE)
+    assert got.dtype == np.float64 and got.shape == (0,)
+    assert dtw_distances([]).shape == (0,)
+
+
+def test_bad_column_selection_raises(rng):
+    features = {"a": rng.normal(0, 1, (5, 2)), "b": rng.normal(0, 1, (6, 2))}
+    pairs = [Pair("w0", 0, 0, "a", "b", 1)]
+    with pytest.raises(ValueError, match="selection needs"):
+        score_pairs_dtw(pairs, features, THREE)
+    with pytest.raises(ValueError, match="1..23"):
+        score_pairs_dtw(pairs, features, DtwConfig(selected_columns=(0,)))
 
 
 # --- feature selection on a corpus with known informative columns ---

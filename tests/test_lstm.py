@@ -228,6 +228,20 @@ def test_batch_matches_single_sequence(rng):
         assert np.allclose(C[b], final.C, atol=1e-12)
 
 
+def test_forward_without_cache_is_bit_identical(rng):
+    H, D, T, B = 4, 3, 8, 5
+    params = random_params(rng, H, D)
+    inputs = rng.normal(0, 1, (B, T, D))
+    mask = np.ones((B, T), dtype=bool)
+    mask[1, 5:] = False
+    mask[3, 2:] = False
+    out, (h, C), cache = lstm_forward_batch(params, inputs, mask)
+    lean, (h2, C2), none = lstm_forward_batch(params, inputs, mask, keep_cache=False)
+    assert cache is not None and none is None
+    assert np.array_equal(lean, out)
+    assert np.array_equal(h2, h) and np.array_equal(C2, C)
+
+
 def test_single_step_sequence_equals_step(rng):
     params = random_params(rng, 3, 2)
     x = rng.normal(0, 1, 2)

@@ -114,6 +114,8 @@ def test_batch_loss_is_mean_of_pair_losses(rng):
     loss, grad, scores = batch_loss_grads(model, seqs_a, seqs_b, labels)
     expected = np.mean([pair_loss(s, y) for s, y in zip(scores, labels)])
     assert loss == pytest.approx(expected, abs=1e-12)
+    # scoring skips the backward caches but computes the same scores
+    assert np.array_equal(score_pairs(model, seqs_a, seqs_b), scores)
     assert grad.shape == pack_params(model).shape
     with pytest.raises(ValueError, match="empty batch"):
         batch_loss_grads(model, [], [], np.array([]))
@@ -300,9 +302,9 @@ def test_training_log_format(tmp_path):
     path = tmp_path / "log.csv"
     write_training_log(history, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,cost,dev_eer_1vs1,dev_eer_4vs1,seconds"
-    assert lines[1] == "1,0.750000,,,1.50"
-    assert lines[2] == "2,0.500000,12.5000,10.0000,3.00"
+    assert lines[0] == "iteration,cost,dev_eer_1vs1,dev_eer_4vs1"
+    assert lines[1] == "1,0.750000,,"
+    assert lines[2] == "2,0.500000,12.5000,10.0000"
 
 
 def test_config_validation():
