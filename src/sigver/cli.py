@@ -108,14 +108,8 @@ def _columns(text: str) -> tuple:
     return cols
 
 
-def _load_features(records, *, time_scaled=False, drop_pen_up=False,
-                   normalize=True) -> dict:
-    return {
-        r.key: extract_features(
-            r, normalize=normalize, time_scaled=time_scaled, drop_pen_up=drop_pen_up
-        )
-        for r in records
-    }
+def _load_features(records) -> dict:
+    return {r.key: extract_features(r) for r in records}
 
 
 def _split_from_args(args: argparse.Namespace):
@@ -202,20 +196,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     model = init_model(model_cfg, np.random.default_rng(args.seed))
 
-    hook = None
-    if args.dev_eval:
-        def hook(m):
-            scores = score_pairs(
-                m,
-                [features[p.enroll_key] for p in dev_pairs],
-                [features[p.probe_key] for p in dev_pairs],
-            )
-            one = compute_eer(make_score_set(dev_pairs, scores))[0]
-            four = compute_eer(aggregate_4vs1(dev_pairs, scores))[0]
-            return one, four
+    def dev_eers(m) -> tuple[float, float]:
+        scores = score_pairs(
+            m,
+            [features[p.enroll_key] for p in dev_pairs],
+            [features[p.probe_key] for p in dev_pairs],
+        )
+        one = compute_eer(make_score_set(dev_pairs, scores))[0]
+        four = compute_eer(aggregate_4vs1(dev_pairs, scores))[0]
+        return one, four
 
     trained, history = train(model, dev_pairs, features, train_cfg,
-                             dev_eval_hook=hook)
+                             dev_eval_hook=dev_eers if args.dev_eval else None)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -231,13 +223,7 @@ def cmd_train(args: argparse.Namespace) -> int:
               f"final cost {history[-1]['cost']:.4f}")
     else:
         print("trained 0 iterations, saved the initialization")
-    scores = score_pairs(
-        trained,
-        [features[p.enroll_key] for p in dev_pairs],
-        [features[p.probe_key] for p in dev_pairs],
-    )
-    eer_1vs1 = compute_eer(make_score_set(dev_pairs, scores))[0]
-    eer_4vs1 = compute_eer(aggregate_4vs1(dev_pairs, scores))[0]
+    eer_1vs1, eer_4vs1 = dev_eers(trained)
     print(f"dev EER 1vs1: {eer_1vs1:.2f}%")
     print(f"dev EER 4vs1: {eer_4vs1:.2f}%")
     print(f"model written to {model_path}")

@@ -5,6 +5,12 @@ logistic functions of W.[h_prev, x] + b, the candidate state uses tanh,
 the cell state is C_t = f_t*C_{t-1} + i_t*g_t, and the block output is
 h_t = o_t*tanh(C_t). No peephole connections.
 
+A layer's parameters are stored the way the engine computes with them:
+one (4H, H+D) matrix and one (4H,) bias, whose row blocks belong to the
+gates in the order f, i, o, c (candidate). This module alone knows that
+layout; ``split_gates`` and ``join_gates`` translate it to and from the
+per-gate arrays (``W_f`` ... ``b_c``) that model files store.
+
 Sequences run under a boolean mask. A step whose mask is False copies
 the previous state unchanged and emits the carried output, so trailing
 padding never changes the numbers computed at valid steps, bit for bit.
@@ -27,44 +33,72 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+GATES = ("f", "i", "o", "c")
+
+
 @dataclass
 class LstmParams:
-    """Gate weights over the concatenation [h_prev, x], one bias each."""
+    """Gate weights over [h_prev, x]: W (4H, H+D) and b (4H,).
 
-    W_f: np.ndarray
-    W_i: np.ndarray
-    W_o: np.ndarray
-    W_c: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
+    Row block k of both, rows k*H to (k+1)*H - 1, belongs to gate GATES[k].
+    """
+
+    W: np.ndarray
+    b: np.ndarray
 
     @property
     def hidden_size(self) -> int:
-        return int(self.W_f.shape[0])
+        return int(self.W.shape[0]) // 4
 
     @property
     def input_size(self) -> int:
-        return int(self.W_f.shape[1] - self.W_f.shape[0])
+        return int(self.W.shape[1]) - self.hidden_size
 
     def validate(self) -> None:
+        if self.W.ndim != 2 or self.W.shape[0] % 4:
+            raise ValueError(f"W shape {self.W.shape} is not (4H, H+D)")
         h = self.hidden_size
         d = self.input_size
         if d < 1:
-            raise ValueError(f"weight shape {self.W_f.shape} implies input size {d}")
-        for name in ("W_f", "W_i", "W_o", "W_c"):
-            m = getattr(self, name)
-            if m.shape != (h, h + d):
-                raise ValueError(f"{name} shape {m.shape}, expected {(h, h + d)}")
-            if not np.all(np.isfinite(m)):
+            raise ValueError(f"W shape {self.W.shape} implies input size {d}")
+        if self.b.shape != (4 * h,):
+            raise ValueError(f"b shape {self.b.shape}, expected {(4 * h,)}")
+        for name in ("W", "b"):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} has non-finite entries")
-        for name in ("b_f", "b_i", "b_o", "b_c"):
-            v = getattr(self, name)
-            if v.shape != (h,):
-                raise ValueError(f"{name} shape {v.shape}, expected {(h,)}")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} has non-finite entries")
+
+
+def split_gates(params: LstmParams, prefix: str = "") -> dict[str, np.ndarray]:
+    """Per-gate arrays ``{prefix}W_f`` ... ``{prefix}b_c``, in that order.
+
+    The arrays are views of the row blocks of ``params``.
+    """
+    h = params.hidden_size
+    return {
+        f"{prefix}{name}_{gate}": full[k * h : (k + 1) * h]
+        for name, full in (("W", params.W), ("b", params.b))
+        for k, gate in enumerate(GATES)
+    }
+
+
+def join_gates(arrays, prefix: str = "") -> LstmParams:
+    """Stack the per-gate arrays that ``split_gates`` names.
+
+    ``arrays`` maps names to arrays (a dict or an open ``.npz``); a missing
+    name raises KeyError. All four gates of W, and of b, must agree in
+    shape, so blocks of unequal height cannot add up to a valid layer.
+    """
+    stacked = []
+    for name in ("W", "b"):
+        blocks = [np.array(arrays[f"{prefix}{name}_{gate}"]) for gate in GATES]
+        for gate, block in zip(GATES[1:], blocks[1:]):
+            if block.shape != blocks[0].shape:
+                raise ValueError(
+                    f"{prefix}{name}_{gate} shape {block.shape} != "
+                    f"{prefix}{name}_{GATES[0]} shape {blocks[0].shape}"
+                )
+        stacked.append(np.concatenate(blocks))
+    return LstmParams(*stacked)
 
 
 @dataclass
@@ -91,16 +125,10 @@ def init_lstm(
 ) -> LstmParams:
     """Uniform init in +-1/sqrt(fan-in); forget bias starts positive."""
     r = 1.0 / np.sqrt(hidden_size + input_size)
-    shape = (hidden_size, hidden_size + input_size)
+    b = np.zeros(4 * hidden_size)
+    b[:hidden_size] = float(forget_bias)
     params = LstmParams(
-        W_f=rng.uniform(-r, r, shape),
-        W_i=rng.uniform(-r, r, shape),
-        W_o=rng.uniform(-r, r, shape),
-        W_c=rng.uniform(-r, r, shape),
-        b_f=np.full(hidden_size, float(forget_bias)),
-        b_i=np.zeros(hidden_size),
-        b_o=np.zeros(hidden_size),
-        b_c=np.zeros(hidden_size),
+        W=rng.uniform(-r, r, (4 * hidden_size, hidden_size + input_size)), b=b
     )
     params.validate()
     return params
@@ -109,13 +137,6 @@ def init_lstm(
 def init_dense(input_size: int, rng: np.random.Generator) -> DenseParams:
     r = 1.0 / np.sqrt(input_size)
     return DenseParams(w=rng.uniform(-r, r, input_size), b=0.0)
-
-
-def _stacked(params: LstmParams) -> tuple[np.ndarray, np.ndarray]:
-    """All four gates as one (4H, H+D) matrix, order f, i, o, candidate."""
-    W = np.concatenate([params.W_f, params.W_i, params.W_o, params.W_c], axis=0)
-    b = np.concatenate([params.b_f, params.b_i, params.b_o, params.b_c])
-    return W, b
 
 
 def lstm_forward_batch(
@@ -147,12 +168,11 @@ def lstm_forward_batch(
     if mask.shape != (n_batch, n_steps):
         raise ValueError(f"mask shape {mask.shape} != {(n_batch, n_steps)}")
 
-    W, b = _stacked(params)
     # Splitting W keeps the per-step products at a fixed shape, so a run
     # with extra trailing padding repeats the exact same BLAS calls on the
     # valid steps and stays bit-identical to the unpadded run.
-    W_hT = np.ascontiguousarray(W[:, :h_size].T)
-    W_xT = np.ascontiguousarray(W[:, h_size:].T)
+    W_hT = np.ascontiguousarray(params.W[:, :h_size].T)
+    W_xT = np.ascontiguousarray(params.W[:, h_size:].T)
     if initial is None:
         h = np.zeros((n_batch, h_size))
         C = np.zeros((n_batch, h_size))
@@ -173,7 +193,7 @@ def lstm_forward_batch(
 
     for t in range(n_steps):
         np.matmul(inputs_t[t], W_xT, out=pre)
-        pre += b
+        pre += params.b
         np.matmul(h, W_hT, out=rec)
         pre += rec
         slot = t if keep_cache else 0
@@ -268,17 +288,7 @@ def lstm_backward_batch(
         (flat @ cache["W_xT"].T).reshape(n_steps, n_batch, d).transpose(1, 0, 2)
     )
 
-    grads = LstmParams(
-        W_f=dW[:h_size],
-        W_i=dW[h_size : 2 * h_size],
-        W_o=dW[2 * h_size : 3 * h_size],
-        W_c=dW[3 * h_size :],
-        b_f=db[:h_size],
-        b_i=db[h_size : 2 * h_size],
-        b_o=db[2 * h_size : 3 * h_size],
-        b_c=db[3 * h_size :],
-    )
-    return grads, dinputs
+    return LstmParams(dW, db), dinputs
 
 
 def lstm_step(params: LstmParams, state: LstmState, x: np.ndarray) -> LstmState:
@@ -306,14 +316,6 @@ def lstm_forward(
         mask = np.asarray(mask, dtype=bool)[None, :]
     outputs, (h, C), cache = lstm_forward_batch(params, inputs[None], mask)
     return outputs[0], LstmState(h=h[0], C=C[0]), cache
-
-
-def dense_sigmoid(params: DenseParams, x: np.ndarray) -> float:
-    """Logistic readout sigma(w.x + b)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != params.w.shape:
-        raise ValueError(f"x shape {x.shape} != {params.w.shape}")
-    return float(sigmoid(params.w @ x + params.b))
 
 
 def clip_global_norm(

@@ -24,9 +24,11 @@ from .lstm import (
     clip_global_norm,
     init_dense,
     init_lstm,
+    join_gates,
     lstm_backward_batch,
     lstm_forward_batch,
     sigmoid,
+    split_gates,
 )
 
 MODEL_FORMAT = "sigver-model-v1"
@@ -115,11 +117,7 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> SiameseModel:
 
 def _param_arrays(model: SiameseModel) -> list[np.ndarray]:
     b, m, h = model.branch, model.merge, model.head
-    return [
-        b.W_f, b.W_i, b.W_o, b.W_c, b.b_f, b.b_i, b.b_o, b.b_c,
-        m.W_f, m.W_i, m.W_o, m.W_c, m.b_f, m.b_i, m.b_o, m.b_c,
-        h.w, np.array([h.b]),
-    ]
+    return [b.W, b.b, m.W, m.b, h.w, np.array([h.b])]
 
 
 def pack_params(model: SiameseModel) -> np.ndarray:
@@ -139,9 +137,9 @@ def unpack_params(model: SiameseModel, vec: np.ndarray) -> SiameseModel:
         chunks.append(np.array(vec[pos : pos + a.size]).reshape(a.shape))
         pos += a.size
     return SiameseModel(
-        branch=LstmParams(*chunks[0:8]),
-        merge=LstmParams(*chunks[8:16]),
-        head=DenseParams(w=chunks[16], b=float(chunks[17][0])),
+        branch=LstmParams(*chunks[0:2]),
+        merge=LstmParams(*chunks[2:4]),
+        head=DenseParams(w=chunks[4], b=float(chunks[5][0])),
         config=model.config,
     )
 
@@ -277,13 +275,8 @@ def _backward_pairs(model: SiameseModel, context: dict, dz: np.ndarray) -> np.nd
         model.branch, context["branch_cache"], grad_branch_out
     )
 
-    g = [
-        branch_grads.W_f, branch_grads.W_i, branch_grads.W_o, branch_grads.W_c,
-        branch_grads.b_f, branch_grads.b_i, branch_grads.b_o, branch_grads.b_c,
-        merge_grads.W_f, merge_grads.W_i, merge_grads.W_o, merge_grads.W_c,
-        merge_grads.b_f, merge_grads.b_i, merge_grads.b_o, merge_grads.b_c,
-        dhead_w, np.array([dhead_b]),
-    ]
+    g = [branch_grads.W, branch_grads.b, merge_grads.W, merge_grads.b,
+         dhead_w, np.array([dhead_b])]
     return np.concatenate([a.ravel() for a in g])
 
 
@@ -455,18 +448,11 @@ def write_training_log(history: list[dict], path) -> None:
 
 def save_model(model: SiameseModel, path) -> None:
     model.validate()
-    b, m = model.branch, model.merge
     entries = {
         "format": np.array(MODEL_FORMAT),
         "config": np.array(json.dumps(asdict(model.config))),
-        "branch_W_f": b.W_f, "branch_W_i": b.W_i,
-        "branch_W_o": b.W_o, "branch_W_c": b.W_c,
-        "branch_b_f": b.b_f, "branch_b_i": b.b_i,
-        "branch_b_o": b.b_o, "branch_b_c": b.b_c,
-        "merge_W_f": m.W_f, "merge_W_i": m.W_i,
-        "merge_W_o": m.W_o, "merge_W_c": m.W_c,
-        "merge_b_f": m.b_f, "merge_b_i": m.b_i,
-        "merge_b_o": m.b_o, "merge_b_c": m.b_c,
+        **split_gates(model.branch, "branch_"),
+        **split_gates(model.merge, "merge_"),
         "head_w": model.head.w, "head_b": np.array([model.head.b]),
     }
     # written by hand instead of np.savez so the archive timestamps are
@@ -487,15 +473,9 @@ def load_model(path) -> SiameseModel:
             if "format" not in data or str(data["format"]) != MODEL_FORMAT:
                 raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")
             config = ModelConfig(**json.loads(str(data["config"])))
-            def lstm(prefix: str) -> LstmParams:
-                return LstmParams(
-                    *[np.array(data[f"{prefix}_{k}"])
-                      for k in ("W_f", "W_i", "W_o", "W_c",
-                                "b_f", "b_i", "b_o", "b_c")]
-                )
             model = SiameseModel(
-                branch=lstm("branch"),
-                merge=lstm("merge"),
+                branch=join_gates(data, "branch_"),
+                merge=join_gates(data, "merge_"),
                 head=DenseParams(
                     w=np.array(data["head_w"]), b=float(data["head_b"][0])
                 ),

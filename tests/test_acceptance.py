@@ -115,33 +115,28 @@ def scalar_step(params: LstmParams, h_prev, C_prev, x):
     n_hidden = params.hidden_size
     joint = [float(v) for v in h_prev] + [float(v) for v in x]
 
-    def unit(W, b, squash):
+    def unit(block, squash):
+        # rows block*H .. block*H + H - 1 of the stacked (4H, H+D) weights
         out = []
-        for i in range(n_hidden):
-            acc = float(b[i])
+        for i in range(block * n_hidden, (block + 1) * n_hidden):
+            acc = float(params.b[i])
             for j, value in enumerate(joint):
-                acc += float(W[i, j]) * value
+                acc += float(params.W[i, j]) * value
             out.append(squash(acc))
         return out
 
-    f = unit(params.W_f, params.b_f, _scalar_sigmoid)
-    i_gate = unit(params.W_i, params.b_i, _scalar_sigmoid)
-    o = unit(params.W_o, params.b_o, _scalar_sigmoid)
-    g = unit(params.W_c, params.b_c, math.tanh)
+    f = unit(0, _scalar_sigmoid)
+    i_gate = unit(1, _scalar_sigmoid)
+    o = unit(2, _scalar_sigmoid)
+    g = unit(3, math.tanh)
     C = [f[k] * float(C_prev[k]) + i_gate[k] * g[k] for k in range(n_hidden)]
     h = [o[k] * math.tanh(C[k]) for k in range(n_hidden)]
     return np.array(h), np.array(C)
 
 
 def random_lstm_params(rng, n_hidden, n_input, scale=0.8) -> LstmParams:
-    def w():
-        return rng.normal(scale=scale, size=(n_hidden, n_hidden + n_input))
-
-    def b():
-        return rng.normal(scale=scale, size=n_hidden)
-
-    return LstmParams(W_f=w(), W_i=w(), W_o=w(), W_c=w(),
-                      b_f=b(), b_i=b(), b_o=b(), b_c=b())
+    W = rng.normal(scale=scale, size=(4 * n_hidden, n_hidden + n_input))
+    return LstmParams(W=W, b=rng.normal(scale=scale, size=4 * n_hidden))
 
 
 def test_criterion_2_step_matches_scalar_oracle():
@@ -162,8 +157,7 @@ def test_criterion_2_step_matches_scalar_oracle():
         if err > 1e-12:
             problems.append(f"trial {trial} (H={n_hidden}, D={n_input}): {err:.3e}")
 
-    zero = LstmParams(*(np.zeros((3, 5)) for _ in range(4)),
-                      *(np.zeros(3) for _ in range(4)))
+    zero = LstmParams(W=np.zeros((12, 5)), b=np.zeros(12))
     out = lstm_step(zero, zero_state(3), np.zeros(2))
     if not (out.h == 0.0).all():
         problems.append(f"all-zero case: h = {out.h!r}, expected exact zeros")

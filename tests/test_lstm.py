@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from sigver.lstm import (
-    DenseParams,
     LstmParams,
     LstmState,
     clip_global_norm,
-    dense_sigmoid,
     init_dense,
     init_lstm,
     lstm_backward_batch,
@@ -28,18 +26,19 @@ def scalar_cell(params: LstmParams, h, C, x):
     def logistic(v: float) -> float:
         return 1.0 / (1.0 + math.exp(-v)) if v >= 0 else math.exp(v) / (1.0 + math.exp(v))
 
-    def gate(W, b, j, squash):
+    def gate(block, j, squash):
+        row = block * H + j  # gate row blocks in the order f, i, o, c
         acc = 0.0
         for k in range(H + D):
-            acc += W[j, k] * z[k]
-        return squash(acc + b[j])
+            acc += params.W[row, k] * z[k]
+        return squash(acc + params.b[row])
 
     h_new, C_new = [], []
     for j in range(H):
-        f = gate(params.W_f, params.b_f, j, logistic)
-        i = gate(params.W_i, params.b_i, j, logistic)
-        o = gate(params.W_o, params.b_o, j, logistic)
-        g = gate(params.W_c, params.b_c, j, math.tanh)
+        f = gate(0, j, logistic)
+        i = gate(1, j, logistic)
+        o = gate(2, j, logistic)
+        g = gate(3, j, math.tanh)
         c = f * C[j] + i * g
         C_new.append(c)
         h_new.append(o * math.tanh(c))
@@ -47,17 +46,8 @@ def scalar_cell(params: LstmParams, h, C, x):
 
 
 def random_params(rng, hidden, inputs, scale=0.8):
-    shape = (hidden, hidden + inputs)
-    return LstmParams(
-        W_f=rng.normal(0, scale, shape),
-        W_i=rng.normal(0, scale, shape),
-        W_o=rng.normal(0, scale, shape),
-        W_c=rng.normal(0, scale, shape),
-        b_f=rng.normal(0, scale, hidden),
-        b_i=rng.normal(0, scale, hidden),
-        b_o=rng.normal(0, scale, hidden),
-        b_c=rng.normal(0, scale, hidden),
-    )
+    W = rng.normal(0, scale, (4 * hidden, hidden + inputs))
+    return LstmParams(W=W, b=rng.normal(0, scale, 4 * hidden))
 
 
 def test_step_matches_scalar_reference(rng):
@@ -94,12 +84,7 @@ def test_sequence_matches_scalar_reference(rng):
 
 def test_all_zero_gives_exact_zero_output():
     H, D = 3, 2
-    zero = np.zeros
-    params = LstmParams(
-        W_f=zero((H, H + D)), W_i=zero((H, H + D)),
-        W_o=zero((H, H + D)), W_c=zero((H, H + D)),
-        b_f=zero(H), b_i=zero(H), b_o=zero(H), b_c=zero(H),
-    )
+    params = LstmParams(W=np.zeros((4 * H, H + D)), b=np.zeros(4 * H))
     out = lstm_step(params, zero_state(H), np.zeros(D))
     assert np.array_equal(out.h, np.zeros(H))
     assert np.array_equal(out.C, np.zeros(H))
@@ -111,11 +96,7 @@ def test_all_zero_gives_exact_zero_output():
 def test_forget_gate_scalar_example():
     # one unit, zero weights, strong forget bias: cell keeps its state and
     # the half-open output gate leaks tanh of it
-    params = LstmParams(
-        W_f=np.zeros((1, 2)), W_i=np.zeros((1, 2)),
-        W_o=np.zeros((1, 2)), W_c=np.zeros((1, 2)),
-        b_f=np.array([10.0]), b_i=np.zeros(1), b_o=np.zeros(1), b_c=np.zeros(1),
-    )
+    params = LstmParams(W=np.zeros((4, 2)), b=np.array([10.0, 0.0, 0.0, 0.0]))
     out = lstm_step(params, LstmState(h=np.zeros(1), C=np.array([3.0])), np.array([0.7]))
     expected_C = float(sigmoid(np.array(10.0))) * 3.0
     assert out.C[0] == pytest.approx(expected_C, abs=1e-15)
@@ -140,21 +121,22 @@ def test_gradients_match_finite_differences(rng):
     grads, dinputs = lstm_backward_batch(params, cache, weights)
 
     eps = 1e-5
-    names = ("W_f", "W_i", "W_o", "W_c", "b_f", "b_i", "b_o", "b_c")
-    for name in names:
-        arr = getattr(params, name)
-        got = getattr(grads, name)
-        for _ in range(4):
-            idx = tuple(rng.integers(0, s) for s in arr.shape)
-            orig = arr[idx]
-            arr[idx] = orig + eps
-            up = loss(params, inputs)
-            arr[idx] = orig - eps
-            down = loss(params, inputs)
-            arr[idx] = orig
-            fd = (up - down) / (2 * eps)
-            rel = abs(fd - got[idx]) / max(abs(fd) + abs(got[idx]), 1e-6)
-            assert rel <= 1e-4, f"{name}{idx}: fd={fd} bp={got[idx]}"
+    for name in ("W", "b"):
+        for k, gate in enumerate("fioc"):
+            # probe each gate's row block, a view into params
+            arr = getattr(params, name)[k * H : (k + 1) * H]
+            got = getattr(grads, name)[k * H : (k + 1) * H]
+            for _ in range(4):
+                idx = tuple(rng.integers(0, s) for s in arr.shape)
+                orig = arr[idx]
+                arr[idx] = orig + eps
+                up = loss(params, inputs)
+                arr[idx] = orig - eps
+                down = loss(params, inputs)
+                arr[idx] = orig
+                fd = (up - down) / (2 * eps)
+                rel = abs(fd - got[idx]) / max(abs(fd) + abs(got[idx]), 1e-6)
+                assert rel <= 1e-4, f"{name}_{gate}{idx}: fd={fd} bp={got[idx]}"
     for _ in range(8):
         idx = tuple(rng.integers(0, s) for s in inputs.shape)
         orig = inputs[idx]
@@ -258,7 +240,7 @@ def test_empty_sequence_returns_initial_state(rng):
     assert out.shape == (2, 0, 3)
     assert np.array_equal(h, init.h)
     grads, dinputs = lstm_backward_batch(params, cache, np.zeros((2, 0, 3)))
-    assert np.array_equal(grads.W_f, np.zeros((3, 5)))
+    assert np.array_equal(grads.W, np.zeros((12, 5)))
     assert dinputs.shape == (2, 0, 2)
 
 
@@ -279,11 +261,15 @@ def test_shape_validation(rng):
         lstm_backward_batch(params, cache, np.zeros((1, 3, 3)))
 
     bad = random_params(rng, 3, 2)
-    bad.W_i = np.zeros((2, 5))
-    with pytest.raises(ValueError, match="W_i"):
+    bad.W = np.zeros((11, 5))
+    with pytest.raises(ValueError, match="W shape"):
+        bad.validate()
+    bad = random_params(rng, 3, 2)
+    bad.b = np.zeros(9)
+    with pytest.raises(ValueError, match="b shape"):
         bad.validate()
     nan = random_params(rng, 3, 2)
-    nan.b_c = np.array([0.0, np.nan, 0.0])
+    nan.b[10] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         nan.validate()
 
@@ -291,23 +277,13 @@ def test_shape_validation(rng):
 def test_init_ranges(rng):
     params = init_lstm(46, 23, rng)
     r = 1.0 / np.sqrt(46 + 23)
-    for W in (params.W_f, params.W_i, params.W_o, params.W_c):
-        assert W.shape == (46, 69)
-        assert np.all(np.abs(W) <= r)
-    assert np.array_equal(params.b_f, np.ones(46))
-    assert np.array_equal(params.b_i, np.zeros(46))
+    assert params.W.shape == (4 * 46, 69)
+    assert np.all(np.abs(params.W) <= r)
+    assert np.array_equal(params.b[:46], np.ones(46))  # forget gate
+    assert np.array_equal(params.b[46:], np.zeros(3 * 46))
     head = init_dense(23, rng)
     assert head.b == 0.0
     assert np.all(np.abs(head.w) <= 1.0 / np.sqrt(23))
-
-
-def test_dense_sigmoid(rng):
-    params = DenseParams(w=np.array([0.5, -1.0, 2.0]), b=0.25)
-    x = np.array([1.0, 2.0, 0.5])
-    expected = 1.0 / (1.0 + math.exp(-(0.5 - 2.0 + 1.0 + 0.25)))
-    assert dense_sigmoid(params, x) == pytest.approx(expected, abs=1e-15)
-    with pytest.raises(ValueError):
-        dense_sigmoid(params, np.zeros(4))
 
 
 def test_sigmoid_stability():

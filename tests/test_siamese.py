@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +284,38 @@ def test_load_rejects_bad_files(tmp_path, rng):
     )
     with pytest.raises(ModelFormatError, match="missing field"):
         load_model(truncated)
+
+
+def test_load_rejects_gates_of_unequal_height(tmp_path, rng):
+    good = tmp_path / "good.npz"
+    save_model(tiny_model(rng), good)
+    with np.load(good) as data:
+        entries = {name: data[name] for name in data.files}
+    # merge H=3, H+D=11: 2 + 4 + 3 + 3 rows stack to a 12-row W that alone
+    # would pass for H=3
+    W_f, W_i, W_o = (entries[f"merge_W_{g}"] for g in "fio")
+    entries["merge_W_f"] = W_f[:2]
+    entries["merge_W_i"] = np.concatenate([W_i, W_o[:1]])
+    assert sum(entries[f"merge_W_{g}"].shape[0] for g in "fioc") == 12
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **entries)
+    with pytest.raises(ModelFormatError, match="merge_W_i shape"):
+        load_model(bad)
+
+
+def test_model_file_format_is_pinned(tmp_path):
+    frozen = Path(__file__).resolve().parents[1] / "bench" / "model.npz"
+    resaved = tmp_path / "model.npz"
+    save_model(load_model(frozen), resaved)
+    names = [f"{layer}_{kind}_{gate}" for layer in ("branch", "merge")
+             for kind in "Wb" for gate in "fioc"]
+    expected = ["format.npy", "config.npy"] + [f"{n}.npy" for n in names] \
+        + ["head_w.npy", "head_b.npy"]
+    with zipfile.ZipFile(frozen) as zf:
+        assert zf.namelist() == expected
+    with zipfile.ZipFile(resaved) as zf:
+        assert zf.namelist() == expected
+    assert resaved.read_bytes() == frozen.read_bytes()
 
 
 def test_pack_unpack_identity(rng):
