@@ -172,34 +172,6 @@ def build_pairs(split: DatasetSplit, partition: str) -> list[Pair]:
     return pairs
 
 
-def build_random_impostor_pairs(split: DatasetSplit, partition: str) -> list[Pair]:
-    """Impostor pairs for the random-forgery protocol variant.
-
-    Each user's enrollment signatures are compared with one genuine
-    signature of every other user in the partition (their first test
-    genuine). Labels are all 0; combine with the label-1 pairs from
-    build_pairs for a full random-forgery score set.
-    """
-    users = split.users(partition)
-    pairs: list[Pair] = []
-    for user in users:
-        others = [u for u in users if u != user]
-        for ei, enroll in enumerate(split.enrollment[user]):
-            for pi, other in enumerate(others):
-                probe = split.test_genuine[other][0]
-                pairs.append(
-                    Pair(
-                        user_id=user,
-                        enroll_index=ei,
-                        probe_index=pi,
-                        enroll_key=enroll.key,
-                        probe_key=probe.key,
-                        label=0,
-                    )
-                )
-    return pairs
-
-
 _KIND_BY_NAME = {k.value: k for k in SignatureKind}
 
 

@@ -146,11 +146,6 @@ def dtw_distance(a, b, cfg: DtwConfig = DtwConfig()) -> float:
     return float(dtw_distances([pair], cfg.band)[0])
 
 
-def dtw_score(a, b, cfg: DtwConfig = DtwConfig()) -> float:
-    """Similarity score: negated normalized distance (higher = closer)."""
-    return -dtw_distance(a, b, cfg)
-
-
 def score_pairs_dtw(pairs: list, features: dict,
                     cfg: DtwConfig = DtwConfig()) -> np.ndarray:
     """DTW scores for a pair list, in pair order."""

@@ -121,12 +121,11 @@ def init_lstm(
     hidden_size: int,
     input_size: int,
     rng: np.random.Generator,
-    forget_bias: float = 1.0,
 ) -> LstmParams:
-    """Uniform init in +-1/sqrt(fan-in); forget bias starts positive."""
+    """Uniform init in +-1/sqrt(fan-in); forget bias starts at 1."""
     r = 1.0 / np.sqrt(hidden_size + input_size)
     b = np.zeros(4 * hidden_size)
-    b[:hidden_size] = float(forget_bias)
+    b[:hidden_size] = 1.0
     params = LstmParams(
         W=rng.uniform(-r, r, (4 * hidden_size, hidden_size + input_size)), b=b
     )

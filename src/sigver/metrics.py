@@ -131,14 +131,13 @@ def aggregate_4vs1(
     pairs: list,
     scores: np.ndarray,
     system: str = "",
-    expected_enrollment: int | None = None,
 ) -> ScoreSet:
     """Average each probe's scores over the user's enrollment signatures.
 
     Every (user, label, probe) group must contain one score per
-    enrollment index of that user (or ``expected_enrollment`` when
-    given); a missing or duplicated score raises an error naming the
-    gap. With one enrollment signature per user this is the identity.
+    enrollment index of that user; a missing or duplicated score raises
+    an error naming the gap. With one enrollment signature per user this
+    is the identity.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if len(pairs) != scores.size:
@@ -158,8 +157,7 @@ def aggregate_4vs1(
     genuine, impostor = [], []
     for (user, label, probe) in sorted(groups, key=lambda k: (k[0], -k[1], k[2])):
         group = groups[(user, label, probe)]
-        want = expected_enrollment if expected_enrollment is not None \
-            else len(enroll_sets[user])
+        want = len(enroll_sets[user])
         if len(group) != want:
             raise ValueError(
                 f"user {user} label {label} probe {probe}: "

@@ -6,6 +6,14 @@ Both branches read the same parameter object, so weight sharing is
 structural rather than a synchronized copy. Scores are symmetrized by
 default (mean over both presentation orders); pairs of different length
 are padded with masked steps, which the LSTM engine treats as no-ops.
+
+For n pairs the branch batch holds the n first signatures, then the n
+second ones. Merge row r reads branch rows ``left[r]`` and ``right[r]``:
+rows 0..n-1 read each pair as (a, b) and, when symmetric, rows n..2n-1
+read it as (b, a). The concat mode only chooses which steps the merge
+reads: all of them (per_step) or the last one (final_state). The
+backward pass adds the merge input gradient back through the same index
+arrays, so the variants differ in data, not in code paths.
 """
 from __future__ import annotations
 
@@ -178,38 +186,27 @@ def _forward_pairs(model: SiameseModel, seq_a: list, seq_b: list,
             raise ValueError(
                 f"expected {cfg.n_features} feature columns, got {v.shape[1]}"
             )
-    if cfg.time_stride > 1:
-        k = cfg.time_stride
-        values_a = [v[::k] for v in values_a]
-        values_b = [v[::k] for v in values_b]
+    values_a = [v[:: cfg.time_stride] for v in values_a]
+    values_b = [v[:: cfg.time_stride] for v in values_b]
 
     branch_in, branch_mask, lengths = _collate(values_a + values_b)
     branch_out, _, branch_cache = lstm_forward_batch(
         model.branch, branch_in, branch_mask, keep_cache=keep_cache
     )
     hb = model.branch.hidden_size
-    pair_len = np.maximum(lengths[:n], lengths[n:])
-
-    out_a, out_b = branch_out[:n], branch_out[n:]
+    left = np.arange(2 * n if cfg.symmetric else n)
+    right = (left + n) % (2 * n)
     if cfg.concat == "per_step":
-        fwd = np.concatenate([out_a, out_b], axis=2)
-        merge_in = np.concatenate([fwd, np.concatenate([out_b, out_a], axis=2)]) \
-            if cfg.symmetric else fwd
-        merge_valid = np.arange(fwd.shape[1]) < pair_len[:, None]
-        readout_idx = pair_len - 1
+        steps = slice(None)
+        merge_len = np.maximum(lengths[left], lengths[right])
     else:  # final_state: one merge step over the two final block outputs
-        last_a, last_b = out_a[:, -1, :], out_b[:, -1, :]
-        fwd = np.concatenate([last_a, last_b], axis=1)[:, None, :]
-        merge_in = np.concatenate(
-            [fwd, np.concatenate([last_b, last_a], axis=1)[:, None, :]]
-        ) if cfg.symmetric else fwd
-        merge_valid = np.ones((n, 1), dtype=bool)
-        readout_idx = np.zeros(n, dtype=np.int64)
-    if cfg.symmetric:
-        merge_mask = np.concatenate([merge_valid, merge_valid])
-        readout_idx = np.concatenate([readout_idx, readout_idx])
-    else:
-        merge_mask = merge_valid
+        steps = slice(-1, None)
+        merge_len = np.ones(left.size, dtype=np.int64)
+    merge_in = np.concatenate(
+        [branch_out[left, steps], branch_out[right, steps]], axis=2
+    )
+    merge_mask = np.arange(merge_in.shape[1]) < merge_len[:, None]
+    readout_idx = merge_len - 1
 
     merge_out, _, merge_cache = lstm_forward_batch(model.merge, merge_in, merge_mask,
                                                    keep_cache=keep_cache)
@@ -222,10 +219,10 @@ def _forward_pairs(model: SiameseModel, seq_a: list, seq_b: list,
 
     z = readout @ model.head.w + model.head.b
     s_directed = sigmoid(z)
-    scores = 0.5 * (s_directed[:n] + s_directed[n:]) if cfg.symmetric else s_directed
+    scores = s_directed.reshape(-1, n).mean(axis=0)
 
     context = {
-        "n": n, "hb": hb,
+        "hb": hb, "left": left, "right": right, "steps": steps,
         "branch_cache": branch_cache, "merge_cache": merge_cache,
         "merge_mask": merge_mask, "readout_idx": readout_idx,
         "readout": readout, "merge_out_shape": merge_out.shape,
@@ -237,7 +234,7 @@ def _forward_pairs(model: SiameseModel, seq_a: list, seq_b: list,
 def _backward_pairs(model: SiameseModel, context: dict, dz: np.ndarray) -> np.ndarray:
     """Backprop from per-directed-run score-logit gradients to a flat vector."""
     cfg = model.config
-    n, hb = context["n"], context["hb"]
+    hb = context["hb"]
     readout = context["readout"]
 
     dhead_w = readout.T @ dz
@@ -257,19 +254,9 @@ def _backward_pairs(model: SiameseModel, context: dict, dz: np.ndarray) -> np.nd
     )
 
     grad_branch_out = np.zeros(context["branch_out_shape"])
-    if cfg.concat == "per_step":
-        grad_branch_out[:n] += merge_din[:n, :, :hb]
-        grad_branch_out[n:] += merge_din[:n, :, hb:]
-        if cfg.symmetric:
-            grad_branch_out[n:] += merge_din[n:, :, :hb]
-            grad_branch_out[:n] += merge_din[n:, :, hb:]
-    else:
-        # the merge consumed only the final branch outputs
-        grad_branch_out[:n, -1, :] += merge_din[:n, 0, :hb]
-        grad_branch_out[n:, -1, :] += merge_din[:n, 0, hb:]
-        if cfg.symmetric:
-            grad_branch_out[n:, -1, :] += merge_din[n:, 0, :hb]
-            grad_branch_out[:n, -1, :] += merge_din[n:, 0, hb:]
+    grad_steps = grad_branch_out[:, context["steps"]]
+    grad_steps[context["left"]] += merge_din[..., :hb]
+    grad_steps[context["right"]] += merge_din[..., hb:]
 
     branch_grads, _ = lstm_backward_batch(
         model.branch, context["branch_cache"], grad_branch_out
@@ -323,10 +310,8 @@ def batch_loss_grads(
     s_c = np.clip(scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
     losses = -(labels * np.log(s_c) + (1.0 - labels) * np.log(1.0 - s_c))
     dloss_dscore = (-labels / s_c + (1.0 - labels) / (1.0 - s_c)) / n
-    order_weight = 0.5 if model.config.symmetric else 1.0
-    dscore = np.concatenate([dloss_dscore, dloss_dscore]) \
-        if model.config.symmetric else dloss_dscore
-    dz = order_weight * dscore * s_directed * (1.0 - s_directed)
+    orders = s_directed.size // n
+    dz = np.tile(dloss_dscore, orders) / orders * s_directed * (1.0 - s_directed)
 
     grad = _backward_pairs(model, context, dz)
     return float(losses.mean()), grad, scores
@@ -481,13 +466,14 @@ def load_model(path) -> SiameseModel:
                 ),
                 config=config,
             )
+        model.validate()
     except ModelFormatError:
         raise
     except KeyError as exc:
         raise ModelFormatError(f"{path}: model file missing field {exc}") from exc
     # np.load signals corruption inconsistently: BadZipFile for broken
-    # archives, ValueError for things that are not npz at all
+    # archives, ValueError for things that are not npz at all; validate
+    # raises ValueError for weights of bad shape or non-finite entries
     except (zipfile.BadZipFile, OSError, ValueError, TypeError) as exc:
         raise ModelFormatError(f"{path}: cannot read model file ({exc})") from exc
-    model.validate()
     return model

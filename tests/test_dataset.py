@@ -7,7 +7,6 @@ from sigver.dataset import (
     ProtocolConfig,
     ProtocolError,
     build_pairs,
-    build_random_impostor_pairs,
     build_split,
     load_dataset,
     record_filename,
@@ -124,15 +123,6 @@ def test_pairs_never_cross_users():
     dev_users = {p.user_id for p in build_pairs(split, DEVELOPMENT)}
     eval_users = {p.user_id for p in build_pairs(split, EVALUATION)}
     assert not dev_users & eval_users
-
-
-def test_random_impostor_pairs():
-    split = build_split(stub_corpus(5), n_dev_users=5)
-    pairs = build_random_impostor_pairs(split, DEVELOPMENT)
-    assert len(pairs) == 5 * 4 * 4  # users x enrollment x other users
-    assert all(p.label == 0 for p in pairs)
-    for p in pairs:
-        assert p.probe_key.split("/")[0] != p.user_id
 
 
 def test_insufficient_enrollment_names_user():

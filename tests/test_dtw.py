@@ -11,7 +11,6 @@ from sigver.dtw import (
     _complete_probe_subsample,
     dtw_distance,
     dtw_distances,
-    dtw_score,
     score_pairs_dtw,
     sffs_select,
     write_sffs_report,
@@ -102,11 +101,6 @@ def test_band_wide_enough_matches_unbanded(rng):
     narrow = DtwConfig(selected_columns=(1, 2, 3), band=1)
     d = dtw_distance(rng.normal(0, 1, (12, 3)), rng.normal(0, 1, (3, 3)), narrow)
     assert np.isfinite(d) and d >= 0.0
-
-
-def test_score_is_negated_distance(rng):
-    a, b = rng.normal(0, 1, (9, 3)), rng.normal(0, 1, (7, 3))
-    assert dtw_score(a, b, THREE) == -dtw_distance(a, b, THREE)
 
 
 def test_input_validation(rng):

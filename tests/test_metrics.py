@@ -194,13 +194,14 @@ def test_aggregate_rejects_gaps_and_duplicates():
     pairs = [pair("u", e, 0, 1) for e in range(4)]
     with pytest.raises(ValueError, match="pairs and scores"):
         aggregate_4vs1(pairs, np.zeros(3))
-    with pytest.raises(ValueError, match="user u label 1 probe 0: 3 scores"):
-        aggregate_4vs1(pairs[:3], np.zeros(3), expected_enrollment=4)
+    # probe 1 lacks enrollment 3, which probe 0 shows the user has
+    gap = pairs + [pair("u", e, 1, 1) for e in range(3)]
+    with pytest.raises(ValueError,
+                       match="user u label 1 probe 1: 3 scores, expected 4"):
+        aggregate_4vs1(gap, np.zeros(7))
     dup = pairs[:3] + [pair("u", 2, 0, 1)]
     with pytest.raises(ValueError, match="duplicate score for enrollment 2"):
         aggregate_4vs1(dup, np.zeros(4))
-    with pytest.raises(ValueError, match="4 scores, expected 2"):
-        aggregate_4vs1(pairs, np.zeros(4), expected_enrollment=2)
 
 
 def test_make_score_set():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sigver.dataset import Pair
+from sigver.lstm import lstm_forward_batch
 from sigver.siamese import (
     ModelConfig,
     ModelFormatError,
@@ -65,6 +66,34 @@ def test_asymmetric_score_depends_on_order(rng):
     model = tiny_model(rng, symmetric=False)
     a, b = random_seq(rng, 8), random_seq(rng, 6)
     assert score_pair(model, a, b) != score_pair(model, b, a)
+
+
+@pytest.mark.parametrize("concat", ["per_step", "final_state"])
+@pytest.mark.parametrize("readout", ["last", "mean"])
+def test_symmetric_score_is_mean_of_both_orders(rng, concat, readout):
+    # commutation alone would also hold if the symmetric rows read (a, a)
+    # and (b, b) instead of (a, b) and (b, a)
+    sym = tiny_model(rng, concat=concat, readout=readout)
+    asym = dataclasses.replace(
+        sym, config=dataclasses.replace(sym.config, symmetric=False)
+    )
+    seqs_a = [random_seq(rng, int(rng.integers(4, 12))) for _ in range(5)]
+    seqs_b = [random_seq(rng, int(rng.integers(4, 12))) for _ in range(5)]
+    expected = 0.5 * (score_pairs(asym, seqs_a, seqs_b)
+                      + score_pairs(asym, seqs_b, seqs_a))
+    assert np.allclose(score_pairs(sym, seqs_a, seqs_b), expected,
+                       rtol=1e-12, atol=0.0)
+
+    # a wiring that read (a, a) in both models would pass the check above;
+    # compose the layers by hand for one order of one pair
+    a, b = random_seq(rng, 6), random_seq(rng, 6)
+    out_a, out_b = (lstm_forward_batch(asym.branch, s[None])[0][0] for s in (a, b))
+    steps = slice(None) if concat == "per_step" else slice(-1, None)
+    merge_in = np.concatenate([out_a[steps], out_b[steps]], axis=1)
+    merge_out = lstm_forward_batch(asym.merge, merge_in[None])[0][0]
+    read = merge_out[-1] if readout == "last" else merge_out.mean(axis=0)
+    by_hand = 1.0 / (1.0 + np.exp(-(read @ asym.head.w + asym.head.b)))
+    assert score_pair(asym, a, b) == pytest.approx(by_hand, rel=1e-12)
 
 
 def test_zero_parameters_score_half(rng):
@@ -284,6 +313,20 @@ def test_load_rejects_bad_files(tmp_path, rng):
     )
     with pytest.raises(ModelFormatError, match="missing field"):
         load_model(truncated)
+
+    # readable archives whose weights fail the model's own validation
+    frozen = Path(__file__).resolve().parents[1] / "bench" / "model.npz"
+    with np.load(frozen) as data:
+        entries = {name: data[name] for name in data.files}
+    nan_bias = dict(entries, branch_b_o=entries["branch_b_o"].copy())
+    nan_bias["branch_b_o"][0] = np.nan
+    short_head = dict(entries, head_w=entries["head_w"][:5])
+    for name, bad, why in [("nan_bias", nan_bias, "non-finite"),
+                           ("short_head", short_head, "head input size")]:
+        path = tmp_path / f"{name}.npz"
+        np.savez(path, **bad)
+        with pytest.raises(ModelFormatError, match=f"{name}.npz.*{why}"):
+            load_model(path)
 
 
 def test_load_rejects_gates_of_unequal_height(tmp_path, rng):
