@@ -91,7 +91,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         if isinstance(action, argparse._StoreTrueAction):
             parsed: object = text.lower() in ("1", "true", "yes", "on")
         elif action.type is not None:
-            parsed = action.type(text)
+            try:
+                parsed = action.type(text)
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                raise UsageError(f"{known.config}: bad value for {key}: {exc}") from exc
         else:
             parsed = text
         sub.set_defaults(**{key: parsed})
@@ -235,6 +238,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError("evaluate needs --model and/or --baseline")
     if args.sffs and not args.baseline:
         raise UsageError("--sffs applies to the --baseline scorer")
+    if args.sffs and args.sffs_k < 1:
+        raise UsageError("--sffs-k must be at least 1")
     split = _split_from_args(args)
     pairs = build_pairs(split, EVALUATION)
     n_genuine = sum(p.label for p in pairs)
@@ -297,7 +302,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows = []
     for path in args.results:
         with open(path) as fh:
-            rows.extend(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            for column in ("system", "protocol", "eer_percent"):
+                if reader.fieldnames and column not in reader.fieldnames:
+                    raise ValueError(f"{path}: no {column!r} column")
+            rows.extend(reader)
     if not rows:
         raise UsageError("no result rows found")
     header = ("system", "protocol", "eer_percent", "reference_eer_percent")

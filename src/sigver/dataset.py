@@ -7,6 +7,7 @@ formed deterministically by sorted user id, so a split needs no seed.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -180,13 +181,12 @@ def record_filename(record: SignatureRecord) -> str:
 
 
 def _parse_record_filename(name: str) -> tuple[SignatureKind, int, int]:
-    stem = name[: -len(".svc")] if name.endswith(".svc") else name
-    parts = stem.split("_")
-    if len(parts) != 3 or parts[0] not in _KIND_BY_NAME:
+    match = re.fullmatch(r"([a-z]+)_(\d+)_(\d+)\.svc", name)
+    if match is None or match[1] not in _KIND_BY_NAME:
         raise ProtocolError(
             f"file name {name!r} does not match <kind>_<session>_<index>.svc"
         )
-    return _KIND_BY_NAME[parts[0]], int(parts[1]), int(parts[2])
+    return _KIND_BY_NAME[match[1]], int(match[2]), int(match[3])
 
 
 def load_dataset(root: str | Path, manifest: str | Path | None = None) -> list[SignatureRecord]:
@@ -210,6 +210,8 @@ def load_dataset(root: str | Path, manifest: str | Path | None = None) -> list[S
             path, user_id, kind_name, session, index = fields
             if kind_name not in _KIND_BY_NAME:
                 raise ProtocolError(f"{manifest}:{ln}: unknown kind {kind_name!r}")
+            if not (session.isdecimal() and index.isdecimal()):
+                raise ProtocolError(f"{manifest}:{ln}: session and index must be integers")
             p = Path(path)
             if not p.is_absolute():
                 p = base / p

@@ -198,6 +198,8 @@ def sffs_select(
     """
     from .dataset import DEVELOPMENT, build_pairs
 
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     pairs = build_pairs(dev_split, DEVELOPMENT)
     if not any(p.label == 1 for p in pairs) or not any(p.label == 0 for p in pairs):
         raise ValueError("development set must contain both classes")

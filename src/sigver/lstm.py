@@ -11,12 +11,13 @@ gates in the order f, i, o, c (candidate). This module alone knows that
 layout; ``split_gates`` and ``join_gates`` translate it to and from the
 per-gate arrays (``W_f`` ... ``b_c``) that model files store.
 
-Sequences run under a boolean mask. A step whose mask is False copies
-the previous state unchanged and emits the carried output, so trailing
-padding never changes the numbers computed at valid steps, bit for bit.
-The batched engine processes several sequences against shared read-only
-parameters; gradients accumulate as an ordered sum, so results do not
-depend on how callers split work.
+The layer has one entry point, ``lstm_forward_batch``, with its
+gradient ``lstm_backward_batch``. It runs B sequences from a zero
+initial state against shared read-only parameters, under a boolean
+mask. A step whose mask is False copies the previous state unchanged
+and emits the carried output, so trailing padding never changes the
+numbers computed at valid steps, bit for bit. Gradients accumulate as
+an ordered sum, so results do not depend on how callers split work.
 """
 from __future__ import annotations
 
@@ -102,19 +103,9 @@ def join_gates(arrays, prefix: str = "") -> LstmParams:
 
 
 @dataclass
-class LstmState:
-    h: np.ndarray
-    C: np.ndarray
-
-
-@dataclass
 class DenseParams:
     w: np.ndarray
     b: float
-
-
-def zero_state(hidden_size: int) -> LstmState:
-    return LstmState(h=np.zeros(hidden_size), C=np.zeros(hidden_size))
 
 
 def init_lstm(
@@ -142,10 +133,9 @@ def lstm_forward_batch(
     params: LstmParams,
     inputs: np.ndarray,
     mask: np.ndarray | None = None,
-    initial: LstmState | None = None,
     keep_cache: bool = True,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict | None]:
-    """Run B sequences of length T through the layer.
+    """Run B sequences of length T through the layer from zero state.
 
     inputs: (B, T, D); mask: (B, T) booleans, default all-valid.
     Returns (outputs (B, T, H), (final h (B, H), final C (B, H)), cache).
@@ -172,13 +162,8 @@ def lstm_forward_batch(
     # valid steps and stays bit-identical to the unpadded run.
     W_hT = np.ascontiguousarray(params.W[:, :h_size].T)
     W_xT = np.ascontiguousarray(params.W[:, h_size:].T)
-    if initial is None:
-        h = np.zeros((n_batch, h_size))
-        C = np.zeros((n_batch, h_size))
-    else:
-        h = np.array(initial.h, dtype=np.float64).reshape(n_batch, h_size)
-        C = np.array(initial.C, dtype=np.float64).reshape(n_batch, h_size)
-    h0 = h
+    h = np.zeros((n_batch, h_size))
+    C = np.zeros((n_batch, h_size))
 
     inputs_t = np.ascontiguousarray(inputs.transpose(1, 0, 2))
     mask_t = np.ascontiguousarray(mask.T)
@@ -199,10 +184,7 @@ def lstm_forward_batch(
         gt = gates[slot]
         expit(pre[:, : 3 * h_size], out=gt[:, : 3 * h_size])
         np.tanh(pre[:, 3 * h_size :], out=gt[:, 3 * h_size :])
-        f = gt[:, :h_size]
-        i = gt[:, h_size : 2 * h_size]
-        o = gt[:, 2 * h_size : 3 * h_size]
-        g = gt[:, 3 * h_size :]
+        f, i, o, g = (gt[:, k * h_size : (k + 1) * h_size] for k in range(4))
         c_prev[slot] = C
         C_new = f * C + i * g
         tC = np.tanh(C_new, out=c_tanh[slot])
@@ -215,7 +197,7 @@ def lstm_forward_batch(
 
     cache = {
         "gates": gates, "c_prev": c_prev, "c_tanh": c_tanh,
-        "out_t": out_t, "inputs_t": inputs_t, "mask_t": mask_t, "h0": h0,
+        "out_t": out_t, "inputs_t": inputs_t, "mask_t": mask_t,
         "W_hT": W_hT, "W_xT": W_xT, "hidden": h_size, "input": d,
     } if keep_cache else None
     return np.ascontiguousarray(out_t.transpose(1, 0, 2)), (h, C), cache
@@ -255,11 +237,7 @@ def lstm_backward_batch(
         dh_cell = np.where(m, dh, 0.0)
         dC_cell = np.where(m, dC, 0.0)
 
-        gt = gates[t]
-        f = gt[:, :h_size]
-        i = gt[:, h_size : 2 * h_size]
-        o = gt[:, 2 * h_size : 3 * h_size]
-        g = gt[:, 3 * h_size :]
+        f, i, o, g = (gates[t][:, k * h_size : (k + 1) * h_size] for k in range(4))
         tC = c_tanh[t]
 
         do = dh_cell * tC
@@ -277,8 +255,8 @@ def lstm_backward_batch(
         dC = np.where(m, dCt * f, dC)
 
     flat = dpre.reshape(n_steps * n_batch, 4 * h_size)
-    h_prev = np.concatenate([cache["h0"][None], cache["out_t"][:-1]], axis=0)
-    h_prev = h_prev[:n_steps]
+    h_prev = np.zeros_like(cache["out_t"])  # the state before step 0 is zero
+    h_prev[1:] = cache["out_t"][:-1]
     dW_h = flat.T @ h_prev.reshape(n_steps * n_batch, h_size)
     dW_x = flat.T @ cache["inputs_t"].reshape(n_steps * n_batch, d)
     dW = np.concatenate([dW_h, dW_x], axis=1)
@@ -290,39 +268,9 @@ def lstm_backward_batch(
     return LstmParams(dW, db), dinputs
 
 
-def lstm_step(params: LstmParams, state: LstmState, x: np.ndarray) -> LstmState:
-    """Advance one time step from ``state`` on input ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.input_size,):
-        raise ValueError(f"x shape {x.shape} != {(params.input_size,)}")
-    if state.h.shape != (params.hidden_size,) or state.C.shape != (params.hidden_size,):
-        raise ValueError("state size does not match parameters")
-    initial = LstmState(h=state.h[None, :], C=state.C[None, :])
-    _, (h, C), _ = lstm_forward_batch(params, x[None, None, :], initial=initial)
-    return LstmState(h=h[0], C=C[0])
-
-
-def lstm_forward(
-    params: LstmParams,
-    inputs: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, LstmState, dict]:
-    """Single-sequence forward from a zero initial state."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2:
-        raise ValueError(f"inputs must be (T, D), got shape {inputs.shape}")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)[None, :]
-    outputs, (h, C), cache = lstm_forward_batch(params, inputs[None], mask)
-    return outputs[0], LstmState(h=h[0], C=C[0]), cache
-
-
-def clip_global_norm(
-    arrays: list[np.ndarray], max_norm: float
-) -> tuple[list[np.ndarray], float]:
-    """Scale a gradient collection so its joint L2 norm is <= max_norm."""
-    norm = float(np.sqrt(sum(float(np.sum(a * a)) for a in arrays)))
+def clip_global_norm(grad: np.ndarray, max_norm: float) -> tuple[np.ndarray, float]:
+    """Scale ``grad`` so its L2 norm is <= max_norm; returns (grad, norm)."""
+    norm = float(np.sqrt(np.sum(grad * grad)))
     if max_norm > 0.0 and norm > max_norm:
-        scale = max_norm / norm
-        arrays = [a * scale for a in arrays]
-    return arrays, norm
+        grad = grad * (max_norm / norm)
+    return grad, norm

@@ -159,15 +159,12 @@ def _seq_values(seq) -> np.ndarray:
     return values
 
 
-def _collate(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _collate(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
-    t_max = int(lengths.max())
-    inputs = np.zeros((len(seqs), t_max, seqs[0].shape[1]))
-    mask = np.zeros((len(seqs), t_max), dtype=bool)
+    inputs = np.zeros((len(seqs), int(lengths.max()), seqs[0].shape[1]))
     for k, s in enumerate(seqs):
         inputs[k, : s.shape[0]] = s
-        mask[k, : s.shape[0]] = True
-    return inputs, mask, lengths
+    return inputs, lengths
 
 
 def _forward_pairs(model: SiameseModel, seq_a: list, seq_b: list,
@@ -189,7 +186,8 @@ def _forward_pairs(model: SiameseModel, seq_a: list, seq_b: list,
     values_a = [v[:: cfg.time_stride] for v in values_a]
     values_b = [v[:: cfg.time_stride] for v in values_b]
 
-    branch_in, branch_mask, lengths = _collate(values_a + values_b)
+    branch_in, lengths = _collate(values_a + values_b)
+    branch_mask = np.arange(branch_in.shape[1]) < lengths[:, None]
     branch_out, _, branch_cache = lstm_forward_batch(
         model.branch, branch_in, branch_mask, keep_cache=keep_cache
     )
@@ -206,16 +204,14 @@ def _forward_pairs(model: SiameseModel, seq_a: list, seq_b: list,
         [branch_out[left, steps], branch_out[right, steps]], axis=2
     )
     merge_mask = np.arange(merge_in.shape[1]) < merge_len[:, None]
-    readout_idx = merge_len - 1
 
     merge_out, _, merge_cache = lstm_forward_batch(model.merge, merge_in, merge_mask,
                                                    keep_cache=keep_cache)
     m_rows = merge_out.shape[0]
     if cfg.readout == "last":
-        readout = merge_out[np.arange(m_rows), readout_idx]
+        readout = merge_out[np.arange(m_rows), merge_len - 1]
     else:
-        counts = merge_mask.sum(axis=1)[:, None].astype(np.float64)
-        readout = (merge_out * merge_mask[:, :, None]).sum(axis=1) / counts
+        readout = (merge_out * merge_mask[:, :, None]).sum(axis=1) / merge_len[:, None]
 
     z = readout @ model.head.w + model.head.b
     s_directed = sigmoid(z)
@@ -224,7 +220,7 @@ def _forward_pairs(model: SiameseModel, seq_a: list, seq_b: list,
     context = {
         "hb": hb, "left": left, "right": right, "steps": steps,
         "branch_cache": branch_cache, "merge_cache": merge_cache,
-        "merge_mask": merge_mask, "readout_idx": readout_idx,
+        "merge_mask": merge_mask, "merge_len": merge_len,
         "readout": readout, "merge_out_shape": merge_out.shape,
         "branch_out_shape": branch_out.shape,
     }
@@ -242,12 +238,12 @@ def _backward_pairs(model: SiameseModel, context: dict, dz: np.ndarray) -> np.nd
     dreadout = dz[:, None] * model.head.w[None, :]
 
     grad_merge_out = np.zeros(context["merge_out_shape"])
+    merge_len = context["merge_len"]
     if cfg.readout == "last":
-        grad_merge_out[np.arange(dz.shape[0]), context["readout_idx"]] = dreadout
+        grad_merge_out[np.arange(dz.shape[0]), merge_len - 1] = dreadout
     else:
-        merge_mask = context["merge_mask"]
-        counts = merge_mask.sum(axis=1)[:, None].astype(np.float64)
-        grad_merge_out[:] = (dreadout / counts)[:, None, :] * merge_mask[:, :, None]
+        grad_merge_out[:] = ((dreadout / merge_len[:, None])[:, None, :]
+                             * context["merge_mask"][:, :, None])
 
     merge_grads, merge_din = lstm_backward_batch(
         model.merge, context["merge_cache"], grad_merge_out
@@ -365,7 +361,7 @@ def train(
             labels = np.array([d[2] for d in batch], dtype=np.float64)
             loss, grad, _ = batch_loss_grads(current, seq_a, seq_b, labels)
             loss_sum += loss * len(batch)
-            (grad,), _ = clip_global_norm([grad], cfg.clip_norm)
+            grad, _ = clip_global_norm(grad, cfg.clip_norm)
             if cfg.optimizer == "adam":
                 step += 1
                 adam_m = beta1 * adam_m + (1.0 - beta1) * grad

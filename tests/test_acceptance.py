@@ -23,7 +23,7 @@ from sigver.dataset import (
 )
 from sigver.dtw import DtwConfig, dtw_distance, score_pairs_dtw, sffs_select
 from sigver.features import extract_features
-from sigver.lstm import LstmParams, LstmState, lstm_forward, lstm_step, zero_state
+from sigver.lstm import LstmParams, lstm_forward_batch
 from sigver.metrics import (
     Protocol,
     ScoreSet,
@@ -146,21 +146,33 @@ def test_criterion_2_step_matches_scalar_oracle():
     for trial in range(100):
         n_hidden = int(rng.integers(1, 9))
         n_input = int(rng.integers(1, 9))
+        n_steps = int(rng.integers(2, 7))
+        n_rows = int(rng.integers(2, 5))
         scale = 4.0 if trial % 5 == 0 else 0.8  # every fifth run saturates
         params = random_lstm_params(rng, n_hidden, n_input, scale)
-        state = LstmState(h=rng.normal(size=n_hidden), C=rng.normal(size=n_hidden))
-        x = rng.normal(size=n_input)
-        got = lstm_step(params, state, x)
-        want_h, want_C = scalar_step(params, state.h, state.C, x)
-        err = max(float(np.abs(got.h - want_h).max()),
-                  float(np.abs(got.C - want_C).max()))
+        xs = rng.normal(size=(n_rows, n_steps, n_input))
+        out, (_, got_C), _ = lstm_forward_batch(params, xs)
+        err = 0.0
+        for row in range(n_rows):
+            # the oracle steps from zero, so every later step starts from a
+            # state that the recurrence made nonzero
+            h = C = np.zeros(n_hidden)
+            for t in range(n_steps):
+                carried = (h, C)
+                h, C = scalar_step(params, h, C, xs[row, t])
+                err = max(err, float(np.abs(out[row, t] - h).max()))
+            err = max(err, float(np.abs(got_C[row] - C).max()))
+            if not all(np.any(v != 0.0) for v in carried):
+                problems.append(f"trial {trial} row {row}: zero state carried "
+                                f"into the last step")
         if err > 1e-12:
-            problems.append(f"trial {trial} (H={n_hidden}, D={n_input}): {err:.3e}")
+            problems.append(f"trial {trial} (H={n_hidden}, D={n_input}, "
+                            f"T={n_steps}, B={n_rows}): {err:.3e}")
 
     zero = LstmParams(W=np.zeros((12, 5)), b=np.zeros(12))
-    out = lstm_step(zero, zero_state(3), np.zeros(2))
-    if not (out.h == 0.0).all():
-        problems.append(f"all-zero case: h = {out.h!r}, expected exact zeros")
+    out, _, _ = lstm_forward_batch(zero, np.zeros((2, 3, 2)))
+    if not (out == 0.0).all():
+        problems.append(f"all-zero case: h = {out!r}, expected exact zeros")
     finish(2, "recurrent step scalar oracle", problems, started)
 
 
@@ -195,14 +207,16 @@ def test_criterion_3_masked_padding_is_bit_stable():
             )
 
         # layer level: junk rows behind the mask must not leak at all
-        base_out, base_state, _ = lstm_forward(params, a)
+        base_out, (base_h, base_C), _ = lstm_forward_batch(params, a[None])
         for pad in (1, 6):
             junk = rng.normal(size=(pad, 3)) * 3.0
             mask = np.r_[np.ones(t_a, bool), np.zeros(pad, bool)]
-            out, state, _ = lstm_forward(params, np.vstack([a, junk]), mask)
-            if not (np.array_equal(out[:t_a], base_out)
-                    and np.array_equal(state.h, base_state.h)
-                    and np.array_equal(state.C, base_state.C)):
+            out, (h, C), _ = lstm_forward_batch(
+                params, np.vstack([a, junk])[None], mask[None]
+            )
+            if not (np.array_equal(out[:, :t_a], base_out)
+                    and np.array_equal(h, base_h)
+                    and np.array_equal(C, base_C)):
                 problems.append(f"trial {trial}: pad {pad} changed the forward")
     finish(3, "bit-stable masked padding", problems, started)
 

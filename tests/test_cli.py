@@ -264,3 +264,59 @@ class TestReport:
         empty.write_text("system,protocol,eer_percent\n")
         assert run("report", empty) == 2
         assert "no result rows found" in capsys.readouterr().err
+
+
+# --- each bad input ends in one line on stderr and exit 1 or 2 ---
+
+
+def results_without_system(tmp, corpus):
+    path = tmp / "results.csv"
+    path.write_text("a,b\n1,2\n")
+    return ["report", path], 1, f"error: {path}: no 'system' column"
+
+
+def config_bad_columns(tmp, corpus):
+    cfg = tmp / "eval.cfg"
+    cfg.write_text("columns = x\n")
+    argv = ["evaluate", "--config", cfg, "--data", corpus, "--baseline", "--out", tmp]
+    return argv, 2, f"usage error: {cfg}: bad value for columns: bad column list 'x'"
+
+
+def config_bad_users(tmp, corpus):
+    cfg = tmp / "gen.cfg"
+    cfg.write_text("users = abc\n")
+    return (["generate", "--config", cfg, "--out", tmp / "c"], 2,
+            f"usage error: {cfg}: bad value for users: invalid literal for int()")
+
+
+def corpus_bad_session(tmp, corpus):
+    (tmp / "data" / "u0").mkdir(parents=True)
+    (tmp / "data" / "u0" / "genuine_x_00.svc").write_text("2\n0 0 0 1\n1 1 10 1\n")
+    return (["train", "--data", tmp / "data", "--out", tmp / "m"], 1,
+            "error: file name 'genuine_x_00.svc' does not match")
+
+
+def manifest_bad_session(tmp, corpus):
+    manifest = tmp / "index.tsv"
+    svc = corpus / "u000" / "genuine_1_00.svc"
+    manifest.write_text(f"{svc}\tu000\tgenuine\tone\t0\n")
+    return (["train", "--data", tmp, "--manifest", manifest, "--out", tmp / "m"], 1,
+            f"error: {manifest}:1: session and index must be integers")
+
+
+def sffs_k_zero(tmp, corpus):
+    return (["evaluate", "--data", corpus, "--baseline", "--sffs", "--sffs-k", 0,
+             "--out", tmp], 2, "usage error: --sffs-k must be at least 1")
+
+
+@pytest.mark.parametrize("case", [
+    results_without_system, config_bad_columns, config_bad_users,
+    corpus_bad_session, manifest_bad_session, sffs_k_zero,
+], ids=lambda case: case.__name__)
+def test_bad_input_is_one_line_error(case, corpus, tmp_path, capsys):
+    argv, code, message = case(tmp_path, corpus)
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith(message)

@@ -295,6 +295,8 @@ def test_sffs_k1_is_exhaustive_singleton_search():
     assert subset == (best[0],)
     assert steps[0].eer == pytest.approx(best[1], abs=1e-12)
     assert subset[0] in (1, 2)
+    with pytest.raises(ValueError, match="k_max must be at least 1, got 0"):
+        sffs_select(split, features, k_max=0)
 
 
 def test_sffs_rejects_single_class_dev_set():

@@ -5,16 +5,12 @@ import pytest
 
 from sigver.lstm import (
     LstmParams,
-    LstmState,
     clip_global_norm,
     init_dense,
     init_lstm,
     lstm_backward_batch,
-    lstm_forward,
     lstm_forward_batch,
-    lstm_step,
     sigmoid,
-    zero_state,
 )
 
 
@@ -51,57 +47,64 @@ def random_params(rng, hidden, inputs, scale=0.8):
 
 
 def test_step_matches_scalar_reference(rng):
+    # one step from a nonzero state: the last step of a T-step run equals
+    # the scalar cell applied to the final state of the (T-1)-step run
     for _ in range(20):
         H = int(rng.integers(1, 5))
         D = int(rng.integers(1, 6))
+        T = int(rng.integers(2, 7))
         params = random_params(rng, H, D)
-        state = LstmState(h=rng.normal(0, 1, H), C=rng.normal(0, 1, H))
-        x = rng.normal(0, 1, D)
-        ref_h, ref_C = scalar_cell(params, state.h, state.C, x)
-        out = lstm_step(params, state, x)
-        assert np.max(np.abs(out.h - ref_h)) <= 1e-12
-        assert np.max(np.abs(out.C - ref_C)) <= 1e-12
+        xs = rng.normal(0, 1, (2, T, D))
+        _, (h_prev, C_prev), _ = lstm_forward_batch(params, xs[:, :-1])
+        _, (h, C), _ = lstm_forward_batch(params, xs)
+        assert np.all(np.any(h_prev != 0.0, axis=1))
+        for row in range(2):
+            ref_h, ref_C = scalar_cell(params, h_prev[row], C_prev[row], xs[row, -1])
+            assert np.max(np.abs(h[row] - ref_h)) <= 1e-12
+            assert np.max(np.abs(C[row] - ref_C)) <= 1e-12
 
 
 def test_sequence_matches_scalar_reference(rng):
-    for _ in range(5):
-        H = int(rng.integers(1, 4))
-        D = int(rng.integers(1, 4))
+    for _ in range(10):
+        H = int(rng.integers(1, 5))
+        D = int(rng.integers(1, 6))
         T = int(rng.integers(1, 7))
         params = random_params(rng, H, D)
-        xs = rng.normal(0, 1, (T, D))
-        h = [0.0] * H
-        C = [0.0] * H
-        expected = []
-        for t in range(T):
-            h, C = scalar_cell(params, h, C, xs[t])
-            expected.append(h)
-        outputs, final, _ = lstm_forward(params, xs)
-        assert np.max(np.abs(outputs - np.array(expected))) <= 1e-12
-        assert np.max(np.abs(final.h - h)) <= 1e-12
-        assert np.max(np.abs(final.C - C)) <= 1e-12
+        xs = rng.normal(0, 1, (2, T, D))
+        outputs, (h_end, C_end), _ = lstm_forward_batch(params, xs)
+        for row in range(2):
+            h = [0.0] * H
+            C = [0.0] * H
+            for t in range(T):
+                h, C = scalar_cell(params, h, C, xs[row, t])
+                assert np.max(np.abs(outputs[row, t] - h)) <= 1e-12
+            assert np.max(np.abs(h_end[row] - h)) <= 1e-12
+            assert np.max(np.abs(C_end[row] - C)) <= 1e-12
 
 
 def test_all_zero_gives_exact_zero_output():
     H, D = 3, 2
     params = LstmParams(W=np.zeros((4 * H, H + D)), b=np.zeros(4 * H))
-    out = lstm_step(params, zero_state(H), np.zeros(D))
-    assert np.array_equal(out.h, np.zeros(H))
-    assert np.array_equal(out.C, np.zeros(H))
-    outputs, final, _ = lstm_forward(params, np.zeros((6, D)))
-    assert np.array_equal(outputs, np.zeros((6, H)))
-    assert np.array_equal(final.h, np.zeros(H))
+    outputs, (h, C), _ = lstm_forward_batch(params, np.zeros((2, 6, D)))
+    assert np.array_equal(outputs, np.zeros((2, 6, H)))
+    assert np.array_equal(h, np.zeros((2, H)))
+    assert np.array_equal(C, np.zeros((2, H)))
 
 
 def test_forget_gate_scalar_example():
-    # one unit, zero weights, strong forget bias: cell keeps its state and
-    # the half-open output gate leaks tanh of it
-    params = LstmParams(W=np.zeros((4, 2)), b=np.array([10.0, 0.0, 0.0, 0.0]))
-    out = lstm_step(params, LstmState(h=np.zeros(1), C=np.array([3.0])), np.array([0.7]))
-    expected_C = float(sigmoid(np.array(10.0))) * 3.0
-    assert out.C[0] == pytest.approx(expected_C, abs=1e-15)
-    assert out.C[0] == pytest.approx(2.99986, abs=1e-4)
-    assert out.h[0] == pytest.approx(0.5 * math.tanh(expected_C), abs=1e-15)
+    # one unit, zero recurrent weights, strong forget bias: the first step
+    # writes C = sigmoid(0) * tanh(3) from the input, later steps keep it
+    # and the half-open output gate leaks tanh of it
+    W = np.zeros((4, 2))
+    W[3, 1] = 1.0  # candidate reads the input
+    params = LstmParams(W=W, b=np.array([10.0, 0.0, 0.0, 0.0]))
+    xs = np.array([[[3.0], [0.0], [0.0]]] * 2)
+    outputs, (_, C), _ = lstm_forward_batch(params, xs)
+    keep = float(sigmoid(np.array(10.0)))
+    expected_C = 0.5 * math.tanh(3.0) * keep * keep
+    assert C[0, 0] == pytest.approx(expected_C, abs=1e-15)
+    assert C[0, 0] == pytest.approx(0.49748, abs=1e-5)
+    assert outputs[0, 2, 0] == pytest.approx(0.5 * math.tanh(expected_C), abs=1e-15)
 
 
 def test_gradients_match_finite_differences(rng):
@@ -174,16 +177,17 @@ def test_padding_is_bit_invariant(rng):
 
 
 def test_masked_steps_freeze_state_and_output(rng):
-    H, D = 3, 2
+    H, D, T = 3, 2, 7
     params = random_params(rng, H, D)
-    init = LstmState(h=rng.normal(0, 1, (1, H)), C=rng.normal(0, 1, (1, H)))
-    inputs = rng.normal(0, 1, (1, 4, D))
-    out, (h, C), _ = lstm_forward_batch(
-        params, inputs, mask=np.zeros((1, 4), dtype=bool), initial=init
-    )
-    assert np.array_equal(h, init.h)
-    assert np.array_equal(C, init.C)
-    assert np.array_equal(out, np.broadcast_to(init.h[:, None, :], (1, 4, H)))
+    inputs = rng.normal(0, 1, (2, T, D))
+    mask = np.ones((2, T), dtype=bool)
+    mask[0, 3:] = False
+    out, (h, C), _ = lstm_forward_batch(params, inputs, mask)
+    _, (h3, C3), _ = lstm_forward_batch(params, inputs[:, :3])
+    assert np.any(h3[0] != 0.0)  # the frozen state is not the zero state
+    assert np.array_equal(h[0], h3[0])
+    assert np.array_equal(C[0], C3[0])
+    assert np.array_equal(out[0, 3:], np.broadcast_to(h3[0], (T - 3, H)))
 
 
 def test_masked_steps_get_zero_input_gradient(rng):
@@ -204,10 +208,10 @@ def test_batch_matches_single_sequence(rng):
     inputs = rng.normal(0, 1, (4, T, D))
     batched, (h, C), _ = lstm_forward_batch(params, inputs)
     for b in range(4):
-        out, final, _ = lstm_forward(params, inputs[b])
-        assert np.allclose(batched[b], out, atol=1e-12)
-        assert np.allclose(h[b], final.h, atol=1e-12)
-        assert np.allclose(C[b], final.C, atol=1e-12)
+        out, (h1, C1), _ = lstm_forward_batch(params, inputs[b : b + 1])
+        assert np.allclose(batched[b], out[0], atol=1e-12)
+        assert np.allclose(h[b], h1[0], atol=1e-12)
+        assert np.allclose(C[b], C1[0], atol=1e-12)
 
 
 def test_forward_without_cache_is_bit_identical(rng):
@@ -224,21 +228,12 @@ def test_forward_without_cache_is_bit_identical(rng):
     assert np.array_equal(h2, h) and np.array_equal(C2, C)
 
 
-def test_single_step_sequence_equals_step(rng):
-    params = random_params(rng, 3, 2)
-    x = rng.normal(0, 1, 2)
-    stepped = lstm_step(params, zero_state(3), x)
-    outputs, final, _ = lstm_forward(params, x[None, :])
-    assert np.array_equal(outputs[0], stepped.h)
-    assert np.array_equal(final.C, stepped.C)
-
-
 def test_empty_sequence_returns_initial_state(rng):
     params = random_params(rng, 3, 2)
-    init = LstmState(h=rng.normal(0, 1, (2, 3)), C=rng.normal(0, 1, (2, 3)))
-    out, (h, C), cache = lstm_forward_batch(params, np.zeros((2, 0, 2)), initial=init)
+    out, (h, C), cache = lstm_forward_batch(params, np.zeros((2, 0, 2)))
     assert out.shape == (2, 0, 3)
-    assert np.array_equal(h, init.h)
+    assert np.array_equal(h, np.zeros((2, 3)))
+    assert np.array_equal(C, np.zeros((2, 3)))
     grads, dinputs = lstm_backward_batch(params, cache, np.zeros((2, 0, 3)))
     assert np.array_equal(grads.W, np.zeros((12, 5)))
     assert dinputs.shape == (2, 0, 2)
@@ -252,10 +247,6 @@ def test_shape_validation(rng):
         lstm_forward_batch(params, np.zeros((1, 4, 5)))
     with pytest.raises(ValueError, match="mask shape"):
         lstm_forward_batch(params, np.zeros((1, 4, 2)), mask=np.ones((1, 3), dtype=bool))
-    with pytest.raises(ValueError, match="x shape"):
-        lstm_step(params, zero_state(3), np.zeros(4))
-    with pytest.raises(ValueError, match="state size"):
-        lstm_step(params, zero_state(2), np.zeros(2))
     _, _, cache = lstm_forward_batch(params, np.zeros((1, 4, 2)))
     with pytest.raises(ValueError, match="grad_outputs shape"):
         lstm_backward_batch(params, cache, np.zeros((1, 3, 3)))
@@ -299,16 +290,15 @@ def test_sigmoid_stability():
 
 
 def test_clip_global_norm():
-    arrays = [np.array([3.0, 0.0]), np.array([[0.0, 4.0]])]
-    clipped, norm = clip_global_norm(arrays, 2.5)
+    grad = np.array([3.0, 0.0, 4.0])
+    clipped, norm = clip_global_norm(grad, 2.5)
     assert norm == pytest.approx(5.0)
-    total = np.sqrt(sum(np.sum(a * a) for a in clipped))
-    assert total == pytest.approx(2.5, abs=1e-12)
-    assert np.allclose(clipped[0], [1.5, 0.0])
+    assert np.sqrt(np.sum(clipped * clipped)) == pytest.approx(2.5, abs=1e-12)
+    assert np.allclose(clipped, [1.5, 0.0, 2.0])
 
-    same, norm2 = clip_global_norm(arrays, 10.0)
+    same, norm2 = clip_global_norm(grad, 10.0)
     assert norm2 == pytest.approx(5.0)
-    assert same[0] is arrays[0]
+    assert same is grad
 
-    unlimited, _ = clip_global_norm(arrays, 0.0)
-    assert unlimited[1] is arrays[1]
+    unlimited, _ = clip_global_norm(grad, 0.0)
+    assert unlimited is grad
