@@ -68,6 +68,10 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+_FLAG_WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+               **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     """Let a --config file supply defaults, with explicit flags winning."""
     probe = argparse.ArgumentParser(add_help=False)
@@ -88,15 +92,19 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         if key not in valid or key in ("help", "config"):
             raise UsageError(f"{known.config}: unknown option {key!r}")
         action = valid[key]
-        if isinstance(action, argparse._StoreTrueAction):
-            parsed: object = text.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            try:
+        parsed: object = text
+        try:
+            if isinstance(action, argparse._StoreTrueAction):
+                if text.lower() not in _FLAG_WORDS:
+                    raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
+                parsed = _FLAG_WORDS[text.lower()]
+            elif action.type is not None:
                 parsed = action.type(text)
-            except (argparse.ArgumentTypeError, ValueError) as exc:
-                raise UsageError(f"{known.config}: bad value for {key}: {exc}") from exc
-        else:
-            parsed = text
+            if action.choices is not None and parsed not in action.choices:
+                raise ValueError(f"invalid choice {text!r} (choose from "
+                                 f"{', '.join(map(str, action.choices))})")
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise UsageError(f"{known.config}: bad value for {key}: {exc}") from exc
         sub.set_defaults(**{key: parsed})
         action.required = False
 

@@ -7,13 +7,16 @@ structural rather than a synchronized copy. Scores are symmetrized by
 default (mean over both presentation orders); pairs of different length
 are padded with masked steps, which the LSTM engine treats as no-ops.
 
-For n pairs the branch batch holds the n first signatures, then the n
-second ones. Merge row r reads branch rows ``left[r]`` and ``right[r]``:
-rows 0..n-1 read each pair as (a, b) and, when symmetric, rows n..2n-1
-read it as (b, a). The concat mode only chooses which steps the merge
-reads: all of them (per_step) or the last one (final_state). The
-backward pass adds the merge input gradient back through the same index
-arrays, so the variants differ in data, not in code paths.
+A training batch of n pairs encodes 2n branch rows: the n first
+signatures, then the n second ones. A branch row does not depend on the
+pair it is in, so scoring encodes each distinct signature once per window
+of consecutive pair batches (see score_pairs). Merge row r reads branch
+rows ``left[r]`` and ``right[r]``: rows 0..n-1 read pair r as (a, b) and,
+when symmetric, rows n..2n-1 read it as (b, a). The concat mode only
+chooses which steps the merge reads: all of them (per_step) or the last
+one (final_state). The backward pass adds the merge input gradient back
+through the same index arrays, so the variants differ in data, not in
+code paths.
 """
 from __future__ import annotations
 
@@ -159,12 +162,54 @@ def _seq_values(seq) -> np.ndarray:
     return values
 
 
-def _collate(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
-    inputs = np.zeros((len(seqs), int(lengths.max()), seqs[0].shape[1]))
-    for k, s in enumerate(seqs):
-        inputs[k, : s.shape[0]] = s
-    return inputs, lengths
+def _encode(model: SiameseModel, seqs: list, keep_cache: bool):
+    """Branch LSTM outputs (B, T, H), lengths and cache of B sequences. Past
+    its length a row repeats its final output (the engine's masked step)."""
+    cfg = model.config
+    values = [_seq_values(s)[:: cfg.time_stride] for s in seqs]
+    lengths = np.array([v.shape[0] for v in values], dtype=np.int64)
+    branch_in = np.zeros((len(values), int(lengths.max()), cfg.n_features))
+    for k, v in enumerate(values):
+        if v.shape[1] != cfg.n_features:
+            raise ValueError(f"expected {cfg.n_features} feature columns, got {v.shape[1]}")
+        branch_in[k, : v.shape[0]] = v
+    branch_mask = np.arange(branch_in.shape[1]) < lengths[:, None]
+    out, _, cache = lstm_forward_batch(model.branch, branch_in, branch_mask, keep_cache)
+    return out, lengths, cache
+
+
+def _merge_and_head(model: SiameseModel, branch_out: np.ndarray, lengths: np.ndarray,
+                    rows_a: np.ndarray, rows_b: np.ndarray, keep_cache: bool):
+    """Score pair r from branch rows ``rows_a[r]`` and ``rows_b[r]``; returns
+    (scores, directed sigmoids, context), as _forward_pairs does."""
+    cfg = model.config
+    n = rows_a.size
+    left = np.concatenate([rows_a, rows_b]) if cfg.symmetric else rows_a
+    right = np.concatenate([rows_b, rows_a]) if cfg.symmetric else rows_b
+    if cfg.concat == "per_step":
+        merge_len = np.maximum(lengths[left], lengths[right])
+        steps = slice(None, int(merge_len.max()))
+    else:  # final_state: one merge step over the two final block outputs
+        steps = slice(-1, None)
+        merge_len = np.ones(left.size, dtype=np.int64)
+    merge_in = np.concatenate([branch_out[left, steps], branch_out[right, steps]], axis=2)
+    merge_mask = np.arange(merge_in.shape[1]) < merge_len[:, None]
+
+    merge_out, _, merge_cache = lstm_forward_batch(model.merge, merge_in, merge_mask,
+                                                   keep_cache=keep_cache)
+    if cfg.readout == "last":
+        readout = merge_out[np.arange(left.size), merge_len - 1]
+    else:
+        readout = (merge_out * merge_mask[:, :, None]).sum(axis=1) / merge_len[:, None]
+
+    z = readout @ model.head.w + model.head.b
+    s_directed = sigmoid(z)
+    scores = s_directed.reshape(-1, n).mean(axis=0)
+
+    context = {"left": left, "right": right, "steps": steps, "merge_cache": merge_cache,
+               "merge_mask": merge_mask, "merge_len": merge_len, "readout": readout,
+               "merge_out_shape": merge_out.shape, "branch_out_shape": branch_out.shape}
+    return scores, s_directed, context
 
 
 def _forward_pairs(model: SiameseModel, seq_a: list, seq_b: list,
@@ -174,63 +219,18 @@ def _forward_pairs(model: SiameseModel, seq_a: list, seq_b: list,
     The context dict carries every intermediate needed by _backward_pairs;
     with ``keep_cache=False`` (scoring only) its LSTM caches are None.
     """
-    cfg = model.config
     n = len(seq_a)
-    values_a = [_seq_values(s) for s in seq_a]
-    values_b = [_seq_values(s) for s in seq_b]
-    for v in values_a + values_b:
-        if v.shape[1] != cfg.n_features:
-            raise ValueError(
-                f"expected {cfg.n_features} feature columns, got {v.shape[1]}"
-            )
-    values_a = [v[:: cfg.time_stride] for v in values_a]
-    values_b = [v[:: cfg.time_stride] for v in values_b]
-
-    branch_in, lengths = _collate(values_a + values_b)
-    branch_mask = np.arange(branch_in.shape[1]) < lengths[:, None]
-    branch_out, _, branch_cache = lstm_forward_batch(
-        model.branch, branch_in, branch_mask, keep_cache=keep_cache
-    )
-    hb = model.branch.hidden_size
-    left = np.arange(2 * n if cfg.symmetric else n)
-    right = (left + n) % (2 * n)
-    if cfg.concat == "per_step":
-        steps = slice(None)
-        merge_len = np.maximum(lengths[left], lengths[right])
-    else:  # final_state: one merge step over the two final block outputs
-        steps = slice(-1, None)
-        merge_len = np.ones(left.size, dtype=np.int64)
-    merge_in = np.concatenate(
-        [branch_out[left, steps], branch_out[right, steps]], axis=2
-    )
-    merge_mask = np.arange(merge_in.shape[1]) < merge_len[:, None]
-
-    merge_out, _, merge_cache = lstm_forward_batch(model.merge, merge_in, merge_mask,
-                                                   keep_cache=keep_cache)
-    m_rows = merge_out.shape[0]
-    if cfg.readout == "last":
-        readout = merge_out[np.arange(m_rows), merge_len - 1]
-    else:
-        readout = (merge_out * merge_mask[:, :, None]).sum(axis=1) / merge_len[:, None]
-
-    z = readout @ model.head.w + model.head.b
-    s_directed = sigmoid(z)
-    scores = s_directed.reshape(-1, n).mean(axis=0)
-
-    context = {
-        "hb": hb, "left": left, "right": right, "steps": steps,
-        "branch_cache": branch_cache, "merge_cache": merge_cache,
-        "merge_mask": merge_mask, "merge_len": merge_len,
-        "readout": readout, "merge_out_shape": merge_out.shape,
-        "branch_out_shape": branch_out.shape,
-    }
+    branch_out, lengths, branch_cache = _encode(model, [*seq_a, *seq_b], keep_cache)
+    scores, s_directed, context = _merge_and_head(
+        model, branch_out, lengths, np.arange(n), np.arange(n, 2 * n), keep_cache)
+    context["branch_cache"] = branch_cache
     return scores, s_directed, context
 
 
 def _backward_pairs(model: SiameseModel, context: dict, dz: np.ndarray) -> np.ndarray:
     """Backprop from per-directed-run score-logit gradients to a flat vector."""
     cfg = model.config
-    hb = context["hb"]
+    hb = model.branch.hidden_size
     readout = context["readout"]
 
     dhead_w = readout.T @ dz
@@ -265,21 +265,45 @@ def _backward_pairs(model: SiameseModel, context: dict, dz: np.ndarray) -> np.nd
 
 def score_pair(model: SiameseModel, a, b) -> float:
     """Similarity of two feature sequences, in (0, 1)."""
-    scores, _, _ = _forward_pairs(model, [a], [b], keep_cache=False)
-    return float(scores[0])
+    return float(score_pairs(model, [a], [b])[0])
 
 
 def score_pairs(model: SiameseModel, seq_a: list, seq_b: list,
                 batch_size: int = 64) -> np.ndarray:
-    """Scores for aligned lists of sequences, batched for throughput."""
+    """Scores for aligned lists of sequences, batched for throughput.
+
+    The merge runs on consecutive ``batch_size``-pair slices. Consecutive
+    slices share a window while their distinct sequences fit in
+    ``2 * batch_size`` branch rows; the branch encodes each once per window.
+    A sequence is known by the identity of its ``values`` (or of itself).
+    """
     if len(seq_a) != len(seq_b):
         raise ValueError("sequence lists must have equal length")
-    out = np.empty(len(seq_a))
-    for lo in range(0, len(seq_a), batch_size):
-        hi = min(lo + batch_size, len(seq_a))
-        scores, _, _ = _forward_pairs(model, seq_a[lo:hi], seq_b[lo:hi],
-                                      keep_cache=False)
-        out[lo:hi] = scores
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    n = len(seq_a)
+    out = np.empty(n)
+    lo = 0
+    while lo < n:
+        window: dict[int, object] = {}  # id of a sequence's values -> values
+        slices = []
+        while lo < n:
+            hi = min(lo + batch_size, n)
+            objs = [getattr(s, "values", s) for s in [*seq_a[lo:hi], *seq_b[lo:hi]]]
+            new = {id(o): o for o in objs if id(o) not in window}
+            if slices and len(window) + len(new) > 2 * batch_size:
+                break
+            window.update(new)
+            slices.append((lo, hi, [id(o) for o in objs]))
+            lo = hi
+        seqs = list(window.values())
+        row = {key: r for r, key in enumerate(window)}
+        branch_out, lengths, _ = _encode(  # a one-row GEMM rounds differently
+            model, seqs * 2 if len(seqs) == 1 else seqs, keep_cache=False)
+        for a, b, keys in slices:
+            rows = np.array([row[k] for k in keys])
+            out[a:b] = _merge_and_head(model, branch_out, lengths, rows[: b - a],
+                                       rows[b - a :], keep_cache=False)[0]
     return out
 
 

@@ -90,6 +90,15 @@ class TestConfigFile:
                        "--out", tmp_path / "c") == 2
             assert f"unknown option {key!r}" in capsys.readouterr().err
 
+    def test_flag_words_in_any_case(self, tmp_path):
+        cfg = tmp_path / "ext.cfg"
+        for word, expected in (("ON", True), ("Yes", True), ("0", False), ("False", False)):
+            cfg.write_text(f"raw = {word}\n")
+            argv = ["extract", "--config", str(cfg), "--data", "d", "--out", "o"]
+            parser = cli.build_parser()
+            cli._apply_config_file(parser, argv)
+            assert parser.parse_args(argv).raw is expected
+
     def test_bad_line(self, tmp_path, capsys):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("users = 2\njust words\n")
@@ -289,6 +298,21 @@ def config_bad_users(tmp, corpus):
             f"usage error: {cfg}: bad value for users: invalid literal for int()")
 
 
+def config_misspelt_flag(tmp, corpus):
+    cfg = tmp / "ext.cfg"
+    cfg.write_text("raw = ture\n")
+    return (["extract", "--config", cfg, "--data", corpus, "--out", tmp / "f"], 2,
+            f"usage error: {cfg}: bad value for raw: expected 1/true/yes/on or "
+            "0/false/no/off, got 'ture'")
+
+
+def config_bad_choice(tmp, corpus):
+    cfg = tmp / "train.cfg"
+    cfg.write_text("optimizer = foo\n")
+    return (["train", "--config", cfg, "--data", corpus, "--out", tmp / "m"], 2,
+            f"usage error: {cfg}: bad value for optimizer: invalid choice 'foo'")
+
+
 def corpus_bad_session(tmp, corpus):
     (tmp / "data" / "u0").mkdir(parents=True)
     (tmp / "data" / "u0" / "genuine_x_00.svc").write_text("2\n0 0 0 1\n1 1 10 1\n")
@@ -311,7 +335,7 @@ def sffs_k_zero(tmp, corpus):
 
 @pytest.mark.parametrize("case", [
     results_without_system, config_bad_columns, config_bad_users,
-    corpus_bad_session, manifest_bad_session, sffs_k_zero,
+    config_misspelt_flag, config_bad_choice, corpus_bad_session, manifest_bad_session, sffs_k_zero,
 ], ids=lambda case: case.__name__)
 def test_bad_input_is_one_line_error(case, corpus, tmp_path, capsys):
     argv, code, message = case(tmp_path, corpus)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import zipfile
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sigver import siamese
 from sigver.dataset import Pair
 from sigver.lstm import lstm_forward_batch
 from sigver.siamese import (
@@ -26,6 +28,7 @@ from sigver.siamese import (
     train,
     unpack_params,
     write_training_log,
+    _forward_pairs,
 )
 
 TINY = ModelConfig(n_features=3, branch_hidden=4, merge_hidden=3)
@@ -119,6 +122,64 @@ def test_score_pairs_matches_individual_scoring(rng):
     assert np.allclose(batched, single, atol=1e-12)
     with pytest.raises(ValueError, match="equal length"):
         score_pairs(model, seqs_a, seqs_b[:-1])
+
+
+VARIANTS = list(itertools.product(
+    (True, False), ("per_step", "final_state"), ("last", "mean"), (1, 3)))
+
+
+@pytest.mark.parametrize("hidden", [(16, 8), (46, 23)], ids=["cli", "library"])
+@pytest.mark.parametrize("symmetric,concat,readout,stride", VARIANTS)
+def test_score_pairs_equals_slicewise_forward(hidden, symmetric, concat, readout, stride):
+    """Windowed scoring has the bits of scoring each 64-pair slice alone.
+
+    150 distinct signatures do not fit one 128-row window, so the list
+    spans several; one pair repeats a single object on both sides.
+    """
+    cfg = ModelConfig(n_features=23, branch_hidden=hidden[0], merge_hidden=hidden[1],
+                      symmetric=symmetric, concat=concat, readout=readout,
+                      time_stride=stride)
+    gen = np.random.default_rng(7)
+    model = init_model(cfg, gen)
+    seqs = [random_seq(gen, int(gen.integers(7, 40)), 23) for _ in range(150)]
+    idx_a, idx_b = gen.integers(0, 150, size=(2, 300))
+    idx_b[100] = idx_a[100]
+    seq_a, seq_b = [seqs[i] for i in idx_a], [seqs[i] for i in idx_b]
+    expected = np.concatenate([
+        _forward_pairs(model, seq_a[lo : lo + 64], seq_b[lo : lo + 64], keep_cache=False)[0]
+        for lo in range(0, 300, 64)])
+    assert np.array_equal(score_pairs(model, seq_a, seq_b), expected)
+    a = seqs[0]
+    alone, _, _ = _forward_pairs(model, [a], [a], keep_cache=False)
+    assert score_pair(model, a, a) == alone[0]
+    assert score_pairs(model, [], []).shape == (0,)
+
+
+def test_score_pairs_encodes_each_signature_once(rng, monkeypatch):
+    model = tiny_model(rng)
+    seqs = [random_seq(rng, int(rng.integers(4, 12))) for _ in range(20)]
+    idx_a, idx_b = rng.integers(0, 20, size=(2, 256))
+    branch_rows = []
+
+    def counting(params, inputs, *args, **kwargs):
+        if params is model.branch:
+            branch_rows.append(inputs.shape[0])
+        return lstm_forward_batch(params, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(siamese, "lstm_forward_batch", counting)
+    score_pairs(model, [seqs[i] for i in idx_a], [seqs[i] for i in idx_b])
+    assert sum(branch_rows) == len(set(idx_a) | set(idx_b)) == 20
+    branch_rows.clear()
+    score_pair(model, seqs[0], seqs[0])
+    assert branch_rows == [2]  # a one-row GEMM rounds differently
+
+
+def test_score_pairs_rejects_bad_batch_size(rng):
+    model = tiny_model(rng)
+    seqs = [random_seq(rng, 5)]
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="batch_size"):
+            score_pairs(model, seqs, seqs, batch_size=size)
 
 
 def test_feature_column_mismatch_rejected(rng):
