@@ -22,7 +22,7 @@ from .dataset import (
     build_split,
     load_dataset,
 )
-from .dtw import DtwConfig, score_pairs_dtw, sffs_select, write_sffs_report
+from .dtw import ALL_COLUMNS, DtwConfig, score_pairs_dtw, sffs_select, write_sffs_report
 from .features import extract_features, write_feature_csv
 from .metrics import (
     Protocol,
@@ -47,7 +47,7 @@ from .siamese import (
     write_training_log,
 )
 from .svc import ParseError
-from .synth import SynthConfig, generate, save_synth_config
+from .synth import SynthConfig, generate
 
 
 class UsageError(ValueError):
@@ -138,21 +138,18 @@ def _split_from_args(args: argparse.Namespace):
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.users < 1:
         raise UsageError("--users must be at least 1")
-    cfg = SynthConfig(
-        n_users=args.users,
-        n_sessions=args.sessions,
-        genuine_per_session=args.genuine_per_session,
-        forgeries_per_user=args.forgeries,
-        seed=args.seed,
-        session_jitter=args.jitter,
-        forgery_noise=args.noise,
-        min_duration=args.min_duration,
-        max_duration=args.max_duration,
-    )
+    # option -> SynthConfig field; synth.cfg is a --config file of the options
+    fields = {"users": "n_users", "sessions": "n_sessions",
+              "genuine_per_session": "genuine_per_session",
+              "forgeries": "forgeries_per_user", "seed": "seed",
+              "jitter": "session_jitter", "noise": "forgery_noise",
+              "min_duration": "min_duration", "max_duration": "max_duration"}
+    cfg = SynthConfig(**{field: getattr(args, opt) for opt, field in fields.items()})
     cfg.validate()
     out = Path(args.out)
     users, files = generate(cfg, out)
-    save_synth_config(cfg, out / "synth.cfg")
+    (out / "synth.cfg").write_text(
+        "".join(f"{opt} = {getattr(args, opt)}\n" for opt in fields))
     print(f"generated {users} users, {files} signature files under {out}")
     return 0
 
@@ -406,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--sffs-k", type=int, default=9)
     v.add_argument("--sffs-pairs", type=int, default=500,
                    help="development pair budget for the selection search")
-    v.add_argument("--columns", type=_columns,
-                   default=tuple(range(1, 24)),
+    v.add_argument("--columns", type=_columns, default=ALL_COLUMNS,
                    help="baseline feature columns, e.g. 1,2,5")
     v.add_argument("--band", type=int, default=0)
     v.add_argument("--det-points", type=int, default=200)

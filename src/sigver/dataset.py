@@ -8,10 +8,10 @@ formed deterministically by sorted user id, so a split needs no seed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .svc import SignatureKind, SignatureRecord, parse_svc
+from .svc import ParseError, SignatureKind, SignatureRecord, parse_svc
 
 
 class ProtocolError(ValueError):
@@ -40,7 +40,6 @@ class DatasetSplit:
     enrollment: dict[str, list[SignatureRecord]]
     test_genuine: dict[str, list[SignatureRecord]]
     test_forgeries: dict[str, list[SignatureRecord]]
-    protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
 
     def users(self, partition: str) -> list[str]:
         if partition == DEVELOPMENT:
@@ -103,48 +102,23 @@ def build_split(
             f"n_dev_users={n_dev_users} exceeds the {len(users)} available users"
         )
 
-    enrollment, test_genuine, test_forgeries = {}, {}, {}
-    for user in users:
-        recs = by_user[user]
-        session1 = sorted(
-            (r for r in recs if r.kind is SignatureKind.GENUINE and r.session == 1),
-            key=_sig_sort_key,
-        )
-        later = sorted(
-            (r for r in recs if r.kind is SignatureKind.GENUINE and r.session >= 2),
-            key=_sig_sort_key,
-        )
-        forgeries = sorted(
-            (r for r in recs if r.kind is SignatureKind.SKILLED_FORGERY),
-            key=_sig_sort_key,
-        )
-        if len(session1) < protocol.enrollment_per_user:
-            raise ProtocolError(
-                f"user {user!r}: {len(session1)} session-1 genuine signatures, "
-                f"protocol needs {protocol.enrollment_per_user}"
-            )
-        if len(later) < protocol.test_genuine_per_user:
-            raise ProtocolError(
-                f"user {user!r}: {len(later)} later-session genuine signatures, "
-                f"protocol needs {protocol.test_genuine_per_user}"
-            )
-        if len(forgeries) < protocol.forgeries_per_user:
-            raise ProtocolError(
-                f"user {user!r}: {len(forgeries)} skilled forgeries, "
-                f"protocol needs {protocol.forgeries_per_user}"
-            )
-        enrollment[user] = session1[: protocol.enrollment_per_user]
-        test_genuine[user] = later[: protocol.test_genuine_per_user]
-        test_forgeries[user] = forgeries[: protocol.forgeries_per_user]
-
-    return DatasetSplit(
-        development_users=users[:n_dev_users],
-        evaluation_users=users[n_dev_users:],
-        enrollment=enrollment,
-        test_genuine=test_genuine,
-        test_forgeries=test_forgeries,
-        protocol=protocol,
+    genuine, forgery = SignatureKind.GENUINE, SignatureKind.SKILLED_FORGERY
+    parts = (
+        ("session-1 genuine signatures",
+         lambda r: r.kind is genuine and r.session == 1, protocol.enrollment_per_user),
+        ("later-session genuine signatures",
+         lambda r: r.kind is genuine and r.session >= 2, protocol.test_genuine_per_user),
+        ("skilled forgeries", lambda r: r.kind is forgery, protocol.forgeries_per_user),
     )
+    chosen = ({}, {}, {})  # enrollment, test genuine, test forgeries by user
+    for user in users:
+        for (what, wanted, need), part in zip(parts, chosen):
+            recs = sorted(filter(wanted, by_user[user]), key=_sig_sort_key)
+            if len(recs) < need:
+                raise ProtocolError(f"user {user!r}: {len(recs)} {what}, protocol needs {need}")
+            part[user] = recs[:need]
+
+    return DatasetSplit(users[:n_dev_users], users[n_dev_users:], *chosen)
 
 
 def build_pairs(split: DatasetSplit, partition: str) -> list[Pair]:
@@ -195,16 +169,17 @@ def load_dataset(root: str | Path, manifest: str | Path | None = None) -> list[S
     Default layout: ``<root>/<user_id>/<kind>_<session>_<index>.svc``.
     A manifest file overrides the layout: one record per line,
     tab-separated ``path  user_id  kind  session  index`` with paths
-    relative to the manifest's directory (or absolute).
+    relative to the manifest's directory (or absolute). Every manifest
+    line or file name is checked before the first file is parsed; a
+    parse error names its file.
     """
-    records: list[SignatureRecord] = []
     if manifest is not None:
         manifest = Path(manifest)
-        base = manifest.parent
+        entries = []
         for ln, raw in enumerate(manifest.read_text().splitlines(), start=1):
             if not raw.strip() or raw.startswith("#"):
                 continue
-            fields = raw.rstrip("\n").split("\t")
+            fields = raw.split("\t")
             if len(fields) != 5:
                 raise ProtocolError(f"{manifest}:{ln}: expected 5 tab-separated fields")
             path, user_id, kind_name, session, index = fields
@@ -212,33 +187,24 @@ def load_dataset(root: str | Path, manifest: str | Path | None = None) -> list[S
                 raise ProtocolError(f"{manifest}:{ln}: unknown kind {kind_name!r}")
             if not (session.isdecimal() and index.isdecimal()):
                 raise ProtocolError(f"{manifest}:{ln}: session and index must be integers")
-            p = Path(path)
-            if not p.is_absolute():
-                p = base / p
-            records.append(
-                parse_svc(
-                    p.read_bytes(),
-                    user_id=user_id,
-                    kind=_KIND_BY_NAME[kind_name],
-                    session=int(session),
-                    sample_index=int(index),
-                )
-            )
-        return records
+            entries.append((manifest.parent / path, user_id, _KIND_BY_NAME[kind_name],
+                            int(session), int(index)))
+    else:
+        root = Path(root)
+        if not root.is_dir():
+            raise ProtocolError(f"dataset root {root} is not a directory")
+        entries = [
+            (svc_path, user_dir.name, *_parse_record_filename(svc_path.name))
+            for user_dir in sorted(p for p in root.iterdir() if p.is_dir())
+            for svc_path in sorted(user_dir.glob("*.svc"))
+        ]
 
-    root = Path(root)
-    if not root.is_dir():
-        raise ProtocolError(f"dataset root {root} is not a directory")
-    for user_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        for svc_path in sorted(user_dir.glob("*.svc")):
-            kind, session, index = _parse_record_filename(svc_path.name)
-            records.append(
-                parse_svc(
-                    svc_path.read_bytes(),
-                    user_id=user_dir.name,
-                    kind=kind,
-                    session=session,
-                    sample_index=index,
-                )
-            )
+    records = []
+    for path, user_id, kind, session, index in entries:
+        try:
+            records.append(parse_svc(path.read_bytes(), user_id=user_id, kind=kind,
+                                     session=session, sample_index=index))
+        except ParseError as exc:
+            exc.args = (f"{path}: {exc}",)  # keeps .line
+            raise
     return records

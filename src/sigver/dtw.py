@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .dataset import DEVELOPMENT, build_pairs
 from .features import N_FEATURES
 from .metrics import aggregate_4vs1, compute_eer
 
@@ -196,8 +197,6 @@ def sffs_select(
     column index, so the search is deterministic. Returns the best
     subset found (sorted) and the step log.
     """
-    from .dataset import DEVELOPMENT, build_pairs
-
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     pairs = build_pairs(dev_split, DEVELOPMENT)

@@ -107,11 +107,21 @@ class SignatureRecord:
             raise InvariantError("session must be a positive integer")
 
 
-def _int_token(token: str, line_no: int) -> int:
+def _int_tokens(tokens: list[str], line_no: int) -> list[int]:
+    """The integers of one line; each must fit the int64 sample arrays."""
     try:
-        return int(token)
+        values = list(map(int, tokens))
+        if -(1 << 63) <= min(values) and max(values) < 1 << 63:
+            return values
     except ValueError:
-        raise ParseError(f"non-numeric token {token!r}", line_no) from None
+        pass
+    for token in tokens:
+        try:
+            value = int(token)
+        except ValueError:
+            raise ParseError(f"non-numeric token {token!r}", line_no) from None
+        if not -(1 << 63) <= value < 1 << 63:
+            raise ParseError(f"token {token!r} outside the 64-bit integer range", line_no)
 
 
 def parse_svc(
@@ -128,8 +138,8 @@ def parse_svc(
     supplied by the caller, normally from the file path.
 
     Raises ParseError (with a 1-based line number) for a malformed
-    header, a sample-count mismatch, non-numeric tokens, decreasing
-    timestamps, or out-of-range pressure.
+    header, a sample-count mismatch, non-numeric tokens or ones outside
+    the int64 range, decreasing timestamps, or out-of-range pressure.
     """
     if isinstance(data, bytes):
         text = data.decode("ascii", errors="replace")
@@ -141,17 +151,16 @@ def parse_svc(
     header = lines[0].split()
     if len(header) != 1:
         raise ParseError("header must be a single sample count", 1)
-    declared = _int_token(header[0], 1)
+    declared = _int_tokens(header, 1)[0]
     if declared < 2:
         raise ParseError(f"declared sample count {declared} is below the 2-sample minimum", 1)
 
-    xs, ys, ts, pen, prs = [], [], [], [], []
+    rows: list[list[int]] = []
     n_cols = None
-    row = 0
     for offset, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
-        if row >= declared:
+        if len(rows) >= declared:
             raise ParseError(f"more samples than the declared {declared}", offset)
         tokens = raw.split()
         if len(tokens) not in (4, 7):
@@ -160,31 +169,24 @@ def parse_svc(
             n_cols = len(tokens)
         elif len(tokens) != n_cols:
             raise ParseError(f"inconsistent column count ({len(tokens)} vs {n_cols})", offset)
-        values = [_int_token(tok, offset) for tok in tokens]
-        x, y, t, button = values[:4]
-        if ts and t < ts[-1]:
-            raise ParseError(f"timestamp {t} decreases below {ts[-1]}", offset)
-        if n_cols == 7:
-            p = values[6]
-            if not 0 <= p <= PRESSURE_MAX:
-                raise ParseError(f"pressure {p} outside [0, {PRESSURE_MAX}]", offset)
-        else:
-            p = DEFAULT_PRESSURE
-        xs.append(x)
-        ys.append(y)
-        ts.append(t)
-        pen.append(button != 0)
-        prs.append(p)
-        row += 1
-    if row != declared:
-        raise ParseError(f"header declared {declared} samples, file has {row}", len(lines) + 1)
+        values = _int_tokens(tokens, offset)
+        if rows and values[2] < rows[-1][2]:
+            raise ParseError(f"timestamp {values[2]} decreases below {rows[-1][2]}", offset)
+        if n_cols == 7 and not 0 <= values[6] <= PRESSURE_MAX:
+            raise ParseError(f"pressure {values[6]} outside [0, {PRESSURE_MAX}]", offset)
+        rows.append(values)
+    if len(rows) != declared:
+        raise ParseError(f"header declared {declared} samples, file has {len(rows)}",
+                         len(lines) + 1)
 
+    # one array per column, so a record keeps no azimuth/altitude alive
+    columns = list(zip(*rows))
     return SignatureRecord(
-        x=np.array(xs),
-        y=np.array(ys),
-        pressure=np.array(prs),
-        timestamp=np.array(ts),
-        pen_down=np.array(pen),
+        x=np.array(columns[0]),
+        y=np.array(columns[1]),
+        pressure=np.array(columns[6]) if n_cols == 7 else np.full(declared, DEFAULT_PRESSURE),
+        timestamp=np.array(columns[2]),
+        pen_down=np.array(columns[3]) != 0,
         user_id=user_id,
         session=session,
         kind=kind,

@@ -14,7 +14,7 @@ index), so generation order or parallelism cannot change the corpus.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -192,33 +192,3 @@ def generate(cfg: SynthConfig, root) -> tuple[int, int]:
         n_files += 1
     return cfg.n_users, n_files
 
-
-def save_synth_config(cfg: SynthConfig, path) -> None:
-    with open(path, "w") as fh:
-        for f in fields(SynthConfig):
-            fh.write(f"{f.name} = {getattr(cfg, f.name)}\n")
-
-
-def load_synth_config(path) -> SynthConfig:
-    """Read a key = value config; unknown keys and bad values are errors."""
-    types = {f.name: f.type for f in fields(SynthConfig)}
-    defaults = {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in types:
-                raise ValueError(f"{path}:{ln}: unknown key {key!r}")
-            caster = float if types[key] == "float" else int
-            try:
-                defaults[key] = caster(value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: bad value for {key}: {value!r}") from exc
-    cfg = SynthConfig(**defaults)
-    cfg.validate()
-    return cfg

@@ -63,6 +63,13 @@ class TestGenerate:
                        "--out", out) == 0
         assert tree_bytes(a) == tree_bytes(b)
 
+    def test_config_file_regenerates_corpus(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("generate", "--users", 2, "--max-duration", 1.6,
+                   "--noise", 0.7, "--seed", 5, "--out", a) == 0
+        assert run("generate", "--config", a / "synth.cfg", "--out", b) == 0
+        assert tree_bytes(a) == tree_bytes(b)
+
     def test_rejects_zero_users(self, tmp_path, capsys):
         assert run("generate", "--users", 0, "--out", tmp_path / "c") == 2
         assert "usage error" in capsys.readouterr().err
@@ -320,6 +327,23 @@ def corpus_bad_session(tmp, corpus):
             "error: file name 'genuine_x_00.svc' does not match")
 
 
+def corpus_bad_token(tmp, corpus):
+    svc = tmp / "data" / "u0" / "genuine_1_00.svc"
+    svc.parent.mkdir(parents=True)
+    svc.write_text("4\n0 0 0 1\n1 1 10 1\n2 2 20 1\nx 3 30 1\n")
+    return (["train", "--data", tmp / "data", "--out", tmp / "m"], 1,
+            f"error: {svc}: line 5: non-numeric token 'x'")
+
+
+def corpus_int64_overflow(tmp, corpus):
+    svc = tmp / "data" / "u0" / "genuine_1_00.svc"
+    svc.parent.mkdir(parents=True)
+    svc.write_text("2\n0 0 0 1\n99999999999999999999 1 10 1\n")
+    return (["evaluate", "--data", tmp / "data", "--baseline", "--out", tmp / "r"], 1,
+            f"error: {svc}: line 3: token '99999999999999999999' outside the 64-bit "
+            "integer range")
+
+
 def manifest_bad_session(tmp, corpus):
     manifest = tmp / "index.tsv"
     svc = corpus / "u000" / "genuine_1_00.svc"
@@ -335,7 +359,8 @@ def sffs_k_zero(tmp, corpus):
 
 @pytest.mark.parametrize("case", [
     results_without_system, config_bad_columns, config_bad_users,
-    config_misspelt_flag, config_bad_choice, corpus_bad_session, manifest_bad_session, sffs_k_zero,
+    config_misspelt_flag, config_bad_choice, corpus_bad_session, corpus_bad_token,
+    corpus_int64_overflow, manifest_bad_session, sffs_k_zero,
 ], ids=lambda case: case.__name__)
 def test_bad_input_is_one_line_error(case, corpus, tmp_path, capsys):
     argv, code, message = case(tmp_path, corpus)

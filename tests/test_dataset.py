@@ -11,7 +11,7 @@ from sigver.dataset import (
     load_dataset,
     record_filename,
 )
-from sigver.svc import SignatureKind, SignatureRecord
+from sigver.svc import ParseError, SignatureKind, SignatureRecord
 from sigver.synth import SynthConfig, generate
 
 
@@ -136,6 +136,21 @@ def test_insufficient_enrollment_names_user():
         build_split(corpus, n_dev_users=2)
 
 
+@pytest.mark.parametrize("dropped, message", [
+    (lambda r: r.kind is SignatureKind.GENUINE and r.session == 1,
+     "user 'u0001': 0 session-1 genuine signatures, protocol needs 4"),
+    (lambda r: r.kind is SignatureKind.GENUINE and r.session == 4,
+     "user 'u0001': 8 later-session genuine signatures, protocol needs 12"),
+    (lambda r: r.kind is SignatureKind.SKILLED_FORGERY and r.sample_index == 0,
+     "user 'u0001': 11 skilled forgeries, protocol needs 12"),
+], ids=["enrollment", "later_genuine", "forgeries"])
+def test_shortfall_message_per_part(dropped, message):
+    corpus = [r for r in stub_corpus(3) if not (r.user_id == "u0001" and dropped(r))]
+    with pytest.raises(ProtocolError) as err:
+        build_split(corpus, n_dev_users=2)
+    assert str(err.value) == message
+
+
 def test_insufficient_forgeries_names_user():
     corpus = [r for r in stub_corpus(2)
               if not (r.user_id == "u0000" and r.kind is SignatureKind.SKILLED_FORGERY)]
@@ -193,6 +208,23 @@ def test_manifest_rejects_bad_lines(tmp_path):
     manifest.write_text("only\tfour\tfields\there\n")
     with pytest.raises(ProtocolError, match="5 tab-separated"):
         load_dataset(tmp_path, manifest=manifest)
+
+
+def test_manifest_checked_before_any_file_is_read(tmp_path):
+    manifest = tmp_path / "index.tsv"
+    manifest.write_text("missing.svc\tu0\tgenuine\t1\t0\nmissing.svc\tu0\tsketch\t1\t1\n")
+    with pytest.raises(ProtocolError, match=":2: unknown kind 'sketch'"):
+        load_dataset(tmp_path, manifest=manifest)
+
+
+def test_parse_error_names_file_and_keeps_line(tmp_path):
+    svc = tmp_path / "u0" / "genuine_1_00.svc"
+    svc.parent.mkdir()
+    svc.write_text("2\n0 0 0 1\n1 x 10 1\n")
+    with pytest.raises(ParseError) as err:
+        load_dataset(tmp_path)
+    assert err.value.line == 3
+    assert str(err.value) == f"{svc}: line 3: non-numeric token 'x'"
 
 
 def test_record_filename_shape():

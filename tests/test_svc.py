@@ -62,6 +62,19 @@ def test_non_numeric_token_reports_line():
     assert "oops" in str(err.value)
 
 
+@pytest.mark.parametrize("token", [str(2**63), str(-(2**63) - 1), "99999999999999999999"])
+def test_token_outside_int64_reports_line(token):
+    with pytest.raises(ParseError) as err:
+        parse_svc(f"2\n0 0 0 1\n{token} 1 10 1\n")
+    assert err.value.line == 3
+    assert str(err.value) == f"line 3: token {token!r} outside the 64-bit integer range"
+
+
+def test_int64_extremes_accepted():
+    rec = parse_svc(f"2\n{-(2**63)} 0 0 1\n{2**63 - 1} 1 10 1\n")
+    assert rec.x.tolist() == [-(2**63), 2**63 - 1]
+
+
 def test_decreasing_timestamp_rejected():
     with pytest.raises(ParseError) as err:
         parse_svc("2\n0 0 50 1\n1 1 40 1\n")

@@ -18,8 +18,6 @@ from sigver.synth import (
     SynthConfig,
     generate,
     generate_records,
-    load_synth_config,
-    save_synth_config,
 )
 
 QUICK = SynthConfig(n_users=4, genuine_per_session=3, forgeries_per_user=6,
@@ -139,31 +137,6 @@ def test_frozen_default_corpus_regression():
     eer_4vs1 = compute_eer(aggregate_4vs1(pairs, scores))[0]
     assert eer_4vs1 < 15.0
     assert eer_1vs1 < 15.0
-
-
-def test_config_round_trip(tmp_path):
-    cfg = SynthConfig(n_users=7, seed=99, forgery_noise=0.75, max_duration=3.5)
-    path = tmp_path / "synth.cfg"
-    save_synth_config(cfg, path)
-    assert load_synth_config(path) == cfg
-
-
-def test_config_file_errors(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("n_users: 4\n")
-    with pytest.raises(ValueError, match="bad.cfg:1"):
-        load_synth_config(path)
-    path.write_text("# comment\n\nn_users = 4\nwobble = 2\n")
-    with pytest.raises(ValueError, match=":4: unknown key 'wobble'"):
-        load_synth_config(path)
-    path.write_text("n_users = many\n")
-    with pytest.raises(ValueError, match="bad value for n_users"):
-        load_synth_config(path)
-    path.write_text("n_users = 0\n")
-    with pytest.raises(ValueError, match="positive"):
-        load_synth_config(path)
-    path.write_text("seed = 3\n")
-    assert load_synth_config(path) == SynthConfig(seed=3)
 
 
 def test_config_validation():
