@@ -154,12 +154,14 @@ def record_filename(record: SignatureRecord) -> str:
     return f"{record.kind.value}_{record.session}_{record.sample_index:02d}.svc"
 
 
-def _parse_record_filename(name: str) -> tuple[SignatureKind, int, int]:
-    match = re.fullmatch(r"([a-z]+)_(\d+)_(\d+)\.svc", name)
+def _parse_record_filename(path: Path) -> tuple[SignatureKind, int, int]:
+    match = re.fullmatch(r"([a-z]+)_(\d+)_(\d+)\.svc", path.name)
     if match is None or match[1] not in _KIND_BY_NAME:
         raise ProtocolError(
-            f"file name {name!r} does not match <kind>_<session>_<index>.svc"
+            f"file name {path.name!r} does not match <kind>_<session>_<index>.svc"
         )
+    if int(match[2]) < 1:
+        raise ProtocolError(f"{path}: session must be at least 1")
     return _KIND_BY_NAME[match[1]], int(match[2]), int(match[3])
 
 
@@ -187,6 +189,8 @@ def load_dataset(root: str | Path, manifest: str | Path | None = None) -> list[S
                 raise ProtocolError(f"{manifest}:{ln}: unknown kind {kind_name!r}")
             if not (session.isdecimal() and index.isdecimal()):
                 raise ProtocolError(f"{manifest}:{ln}: session and index must be integers")
+            if int(session) < 1:
+                raise ProtocolError(f"{manifest}:{ln}: session must be at least 1")
             entries.append((manifest.parent / path, user_id, _KIND_BY_NAME[kind_name],
                             int(session), int(index)))
     else:
@@ -194,7 +198,7 @@ def load_dataset(root: str | Path, manifest: str | Path | None = None) -> list[S
         if not root.is_dir():
             raise ProtocolError(f"dataset root {root} is not a directory")
         entries = [
-            (svc_path, user_dir.name, *_parse_record_filename(svc_path.name))
+            (svc_path, user_dir.name, *_parse_record_filename(svc_path))
             for user_dir in sorted(p for p in root.iterdir() if p.is_dir())
             for svc_path in sorted(user_dir.glob("*.svc"))
         ]

@@ -7,14 +7,19 @@ whitespace-separated sample per line. Two column layouts are accepted:
     x y timestamp button                                (4 columns)
     x y timestamp button azimuth altitude pressure      (7 columns)
 
-All tokens are ASCII decimal integers. Azimuth and altitude are parsed
+Every token is an ASCII decimal integer, ``[+-]?[0-9]+``, within the
+int64 range; blank lines are skipped. Azimuth and altitude are parsed
 but discarded. Files without a pressure column get a constant pressure
 of 512 and are flagged ``pressure_free`` so downstream feature code can
 neutralise the pressure channels.
+
+``parse_svc`` reads a well-formed file in one vectorized pass and hands
+any other file to a line-by-line reader, which raises the ParseError.
 """
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,44 +112,32 @@ class SignatureRecord:
             raise InvariantError("session must be a positive integer")
 
 
+_INT_TOKEN = re.compile(r"([+-]?)0*([0-9]+)")  # sign, zeros, significant digits
+_INT64 = np.iinfo(np.int64)
+_INT64_DIGITS = 19
+
+
 def _int_tokens(tokens: list[str], line_no: int) -> list[int]:
     """The integers of one line; each must fit the int64 sample arrays."""
-    try:
-        values = list(map(int, tokens))
-        if -(1 << 63) <= min(values) and max(values) < 1 << 63:
-            return values
-    except ValueError:
-        pass
+    values = []
     for token in tokens:
-        try:
-            value = int(token)
-        except ValueError:
-            raise ParseError(f"non-numeric token {token!r}", line_no) from None
-        if not -(1 << 63) <= value < 1 << 63:
+        match = _INT_TOKEN.fullmatch(token)
+        if match is None:
+            raise ParseError(f"non-numeric token {token!r}", line_no)
+        sign, digits = match.groups()
+        # the length test first keeps int() inside its digit limit
+        if len(digits) > _INT64_DIGITS or not _INT64.min <= int(sign + digits) <= _INT64.max:
             raise ParseError(f"token {token!r} outside the 64-bit integer range", line_no)
+        values.append(int(sign + digits))
+    return values
 
 
-def parse_svc(
-    data: bytes | str,
-    *,
-    user_id: str = "",
-    session: int = 1,
-    kind: SignatureKind = SignatureKind.GENUINE,
-    sample_index: int = 0,
-) -> SignatureRecord:
-    """Parse one SVC text file into a SignatureRecord.
+def _rows_by_line(text: str) -> np.ndarray:
+    """The sample rows of ``text``, read line by line.
 
-    Metadata (user/session/kind/index) is not part of the format and is
-    supplied by the caller, normally from the file path.
-
-    Raises ParseError (with a 1-based line number) for a malformed
-    header, a sample-count mismatch, non-numeric tokens or ones outside
-    the int64 range, decreasing timestamps, or out-of-range pressure.
+    The reference parser: every ParseError comes from here, so its
+    message and line number name the first fault in file order.
     """
-    if isinstance(data, bytes):
-        text = data.decode("ascii", errors="replace")
-    else:
-        text = data
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError("missing sample-count header", 1)
@@ -178,15 +171,91 @@ def parse_svc(
     if len(rows) != declared:
         raise ParseError(f"header declared {declared} samples, file has {len(rows)}",
                          len(lines) + 1)
+    return np.array(rows, dtype=np.int64)
 
-    # one array per column, so a record keeps no azimuth/altitude alive
-    columns = list(zip(*rows))
+
+_FAST_PATH_BYTES = b"0123456789+- \t\n"
+_SPACE, _NEWLINE, _ZERO = b" \n0"
+
+
+def _rows_vectorized(data: bytes) -> np.ndarray | None:
+    """The sample rows of a well-formed file in one array pass, else None.
+
+    Accepts only what ``_rows_by_line`` accepts with the same result: a
+    digits-only header of at least 2, then that many lines of 4 or 7
+    ``[+-]?[0-9]+`` tokens separated by spaces or tabs, blank lines
+    allowed, non-decreasing timestamps, pressure in range. Anything else,
+    including ``\\r`` line ends and the int64 extremes (``np.fromstring``
+    saturates there instead of failing), is left to the line loop.
+    """
+    newline = data.find(b"\n")
+    if newline < 0 or data.translate(None, _FAST_PATH_BYTES):
+        return None
+    header = data[:newline].split()
+    if len(header) != 1 or not header[0].isdigit() or len(header[0]) > _INT64_DIGITS:
+        return None
+    declared = int(header[0])
+    if declared < 2:
+        return None
+
+    # the body from the header's newline on, closed by one more, so every
+    # line lies between two newlines; of the allowed bytes, exactly the
+    # separators are <= b" " and exactly the digits are >= b"0"
+    text = data[newline:] + b"\n"
+    body = np.frombuffer(text, dtype=np.uint8)
+    is_sep = body <= _SPACE
+    is_start = ~is_sep
+    is_start[1:] &= is_sep[:-1]
+    signs = np.flatnonzero((body < _ZERO) != is_sep)
+    if signs.size and (not is_start[signs].all() or (body[signs + 1] < _ZERO).any()):
+        return None  # a sign must open its token and precede a digit
+    per_line = np.diff(np.searchsorted(np.flatnonzero(is_start), np.flatnonzero(body == _NEWLINE)))
+    per_line = per_line[per_line > 0]
+    if per_line.size != declared or per_line[0] not in (4, 7) or (per_line != per_line[0]).any():
+        return None
+    n_cols = int(per_line[0])
+
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    if values.min() == _INT64.min or values.max() == _INT64.max:
+        return None
+    rows = values.reshape(declared, n_cols)
+    if (np.diff(rows[:, 2]) < 0).any():
+        return None
+    if n_cols == 7 and (rows[:, 6].min() < 0 or rows[:, 6].max() > PRESSURE_MAX):
+        return None
+    return rows
+
+
+def parse_svc(
+    data: bytes | str,
+    *,
+    user_id: str = "",
+    session: int = 1,
+    kind: SignatureKind = SignatureKind.GENUINE,
+    sample_index: int = 0,
+) -> SignatureRecord:
+    """Parse one SVC text file into a SignatureRecord.
+
+    Metadata (user/session/kind/index) is not part of the format and is
+    supplied by the caller, normally from the file path.
+
+    Raises ParseError (with a 1-based line number) for a malformed
+    header, a sample-count mismatch, non-numeric tokens or ones outside
+    the int64 range, decreasing timestamps, or out-of-range pressure.
+    """
+    is_text = isinstance(data, str)
+    rows = _rows_vectorized(data.encode("ascii", errors="replace") if is_text else data)
+    if rows is None:
+        rows = _rows_by_line(data if is_text else data.decode("ascii", errors="replace"))
+
+    # one owned array per column, so a record keeps no azimuth/altitude alive
+    n, n_cols = rows.shape
     return SignatureRecord(
-        x=np.array(columns[0]),
-        y=np.array(columns[1]),
-        pressure=np.array(columns[6]) if n_cols == 7 else np.full(declared, DEFAULT_PRESSURE),
-        timestamp=np.array(columns[2]),
-        pen_down=np.array(columns[3]) != 0,
+        x=rows[:, 0].copy(),
+        y=rows[:, 1].copy(),
+        pressure=rows[:, 6].copy() if n_cols == 7 else np.full(n, DEFAULT_PRESSURE),
+        timestamp=rows[:, 2].copy(),
+        pen_down=rows[:, 3] != 0,
         user_id=user_id,
         session=session,
         kind=kind,

@@ -130,7 +130,7 @@ class TestTrain:
     def test_writes_model_and_log(self, corpus, model_dir, capsys):
         # model_dir fixture already ran the command; check its artifacts
         assert (model_dir / "model.npz").is_file()
-        rows = list(csv.DictReader(open(model_dir / "training_log.csv")))
+        rows = list(csv.DictReader((model_dir / "training_log.csv").read_text().splitlines()))
         assert len(rows) == 2
         assert rows[0]["iteration"] == "1"
         assert float(rows[1]["cost"]) > 0
@@ -168,7 +168,7 @@ class TestTrain:
     def test_dev_eval_fills_log_columns(self, corpus, tmp_path):
         assert run("train", "--data", corpus, "--iterations", 2, "--dev-eval",
                    "--out", tmp_path) == 0
-        rows = list(csv.DictReader(open(tmp_path / "training_log.csv")))
+        rows = list(csv.DictReader((tmp_path / "training_log.csv").read_text().splitlines()))
         for row in rows:
             assert 0.0 <= float(row["dev_eer_1vs1"]) <= 100.0
             assert 0.0 <= float(row["dev_eer_4vs1"]) <= 100.0
@@ -207,7 +207,7 @@ class TestEvaluate:
         assert "proposed 4vs1 EER:" in text
 
     def test_results_and_det_files(self, eval_dir):
-        rows = list(csv.DictReader(open(eval_dir / "results.csv")))
+        rows = list(csv.DictReader((eval_dir / "results.csv").read_text().splitlines()))
         assert [(r["system"], r["protocol"]) for r in rows] == [
             ("proposed", "1vs1"), ("proposed", "4vs1"),
             ("baseline", "1vs1"), ("baseline", "4vs1"),
@@ -215,7 +215,7 @@ class TestEvaluate:
         for row in rows:
             assert 0.0 <= float(row["eer_percent"]) <= 100.0
             assert row["n_genuine"] in ("96", "24")
-        det = list(csv.DictReader(open(eval_dir / "det.csv")))
+        det = list(csv.DictReader((eval_dir / "det.csv").read_text().splitlines()))
         assert {r["system"] for r in det} == {"proposed", "baseline"}
         assert all(0.0 <= float(r["far"]) <= 1.0 for r in det)
 
@@ -352,6 +352,22 @@ def manifest_bad_session(tmp, corpus):
             f"error: {manifest}:1: session and index must be integers")
 
 
+def corpus_session_zero(tmp, corpus):
+    svc = tmp / "data" / "u0" / "genuine_0_00.svc"
+    svc.parent.mkdir(parents=True)
+    svc.write_text("2\n0 0 0 1\n1 1 10 1\n")
+    return (["evaluate", "--data", tmp / "data", "--baseline", "--out", tmp / "r"], 1,
+            f"error: {svc}: session must be at least 1")
+
+
+def manifest_session_zero(tmp, corpus):
+    manifest = tmp / "index.tsv"
+    svc = corpus / "u000" / "genuine_1_00.svc"
+    manifest.write_text(f"{svc}\tu000\tgenuine\t1\t0\n{svc}\tu000\tgenuine\t0\t1\n")
+    return (["train", "--data", tmp, "--manifest", manifest, "--out", tmp / "m"], 1,
+            f"error: {manifest}:2: session must be at least 1")
+
+
 def sffs_k_zero(tmp, corpus):
     return (["evaluate", "--data", corpus, "--baseline", "--sffs", "--sffs-k", 0,
              "--out", tmp], 2, "usage error: --sffs-k must be at least 1")
@@ -360,7 +376,8 @@ def sffs_k_zero(tmp, corpus):
 @pytest.mark.parametrize("case", [
     results_without_system, config_bad_columns, config_bad_users,
     config_misspelt_flag, config_bad_choice, corpus_bad_session, corpus_bad_token,
-    corpus_int64_overflow, manifest_bad_session, sffs_k_zero,
+    corpus_int64_overflow, manifest_bad_session, corpus_session_zero, manifest_session_zero,
+    sffs_k_zero,
 ], ids=lambda case: case.__name__)
 def test_bad_input_is_one_line_error(case, corpus, tmp_path, capsys):
     argv, code, message = case(tmp_path, corpus)

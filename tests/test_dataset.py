@@ -217,6 +217,25 @@ def test_manifest_checked_before_any_file_is_read(tmp_path):
         load_dataset(tmp_path, manifest=manifest)
 
 
+def test_session_zero_file_rejected_before_any_file_is_parsed(tmp_path):
+    (tmp_path / "u0").mkdir()
+    (tmp_path / "u0" / "genuine_1_00.svc").write_text("not an svc file\n")
+    bad = tmp_path / "u1" / "genuine_0_00.svc"
+    bad.parent.mkdir()
+    bad.write_text("2\n0 0 0 1\n1 1 10 1\n")
+    with pytest.raises(ProtocolError) as err:
+        load_dataset(tmp_path)
+    assert str(err.value) == f"{bad}: session must be at least 1"
+
+
+def test_manifest_session_zero_rejected_before_any_file_is_read(tmp_path):
+    manifest = tmp_path / "index.tsv"
+    manifest.write_text("missing.svc\tu0\tgenuine\t1\t0\nmissing.svc\tu0\tgenuine\t0\t1\n")
+    with pytest.raises(ProtocolError) as err:
+        load_dataset(tmp_path, manifest=manifest)
+    assert str(err.value) == f"{manifest}:2: session must be at least 1"
+
+
 def test_parse_error_names_file_and_keeps_line(tmp_path):
     svc = tmp_path / "u0" / "genuine_1_00.svc"
     svc.parent.mkdir()

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigver import svc
+from sigver.synth import SynthConfig, generate
 from sigver.svc import (
     DEFAULT_PRESSURE,
     InvariantError,
@@ -68,6 +72,22 @@ def test_token_outside_int64_reports_line(token):
         parse_svc(f"2\n0 0 0 1\n{token} 1 10 1\n")
     assert err.value.line == 3
     assert str(err.value) == f"line 3: token {token!r} outside the 64-bit integer range"
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "0x10", "1e3", "+-1", "1-", "--1", "+"])
+def test_token_grammar_is_signed_ascii_digits(token):
+    for data in (f"2\n0 0 0 1\n{token} 1 10 1\n", f"2\n0 0 0 1\n{token} 1 10 1\n".encode()):
+        with pytest.raises(ParseError) as err:
+            parse_svc(data)
+        assert err.value.line == 3
+        assert "non-numeric token" in str(err.value)
+
+
+def test_signed_and_zero_padded_tokens_accepted():
+    rec = parse_svc(b"2\n+1 -0 007 1\n-12 +0 7 0\n")
+    assert rec.x.tolist() == [1, -12]
+    assert rec.y.tolist() == [0, 0]
+    assert rec.timestamp.tolist() == [7, 7]
 
 
 def test_int64_extremes_accepted():
@@ -200,6 +220,159 @@ def test_round_trip_random_records(rec):
         sample_index=rec.sample_index,
     )
     assert back == rec
+
+
+def _outcome(data):
+    try:
+        return parse_svc(data)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def _line_loop_outcome(data):
+    with mock.patch.object(svc, "_rows_vectorized", lambda _: None):
+        return _outcome(data)
+
+
+ODD_TOKENS = ["x", "1_0", "\u0663", "+7", "-0", "9223372036854775808", "-9223372036854775809",
+              "99999999999999999999", str(2**63 - 1), str(-(2**63)), "5-", "--5", "1.5"]
+
+
+def _odd_token(draw, rows):
+    row = draw(st.integers(1, len(rows) - 1))
+    if rows[row]:
+        rows[row][draw(st.integers(0, len(rows[row]) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+
+
+def _decreasing_timestamp(draw, rows):
+    row = draw(st.integers(1, len(rows) - 1))
+    if row >= 2 and len(rows[row]) > 2:
+        rows[row][2] = "-1"
+
+
+def _bad_pressure(draw, rows):
+    row = draw(st.integers(1, len(rows) - 1))
+    if len(rows[row]) == 7:
+        rows[row][6] = draw(st.sampled_from(["1024", "-1"]))
+
+
+def _five_columns(draw, rows):
+    row = draw(st.integers(1, len(rows) - 1))
+    rows[row] = rows[row][:4] + ["0"]
+
+
+def _mixed_columns(draw, rows):
+    row = draw(st.integers(1, len(rows) - 1))
+    rows[row] = rows[row][:4] if len(rows[row]) == 7 else rows[row][:4] + ["0", "0", "512"]
+
+
+def _extra_row(draw, rows):
+    rows.append(list(rows[-1]))
+
+
+def _missing_row(draw, rows):
+    if len(rows) > 1:
+        del rows[draw(st.integers(1, len(rows) - 1))]
+
+
+def _odd_header(draw, rows):
+    count = rows[0][0] if rows[0] else "2"
+    rows[0] = draw(st.sampled_from([[f"+{count}"], [f"00{count}"], [count, count], [], ["1"],
+                                    ["x"], [str(2**64)]]))
+
+
+MUTATIONS = [_odd_token, _decreasing_timestamp, _bad_pressure, _five_columns,
+             _mixed_columns, _extra_row, _missing_row, _odd_header]
+
+
+@st.composite
+def svc_files(draw):
+    """An emitted record's file after 0-3 mutations, in varied layout.
+
+    Returns the input and whether the vectorized parse must accept it:
+    only token mutations and ``\\r\\n`` line ends send a file to the loop.
+    """
+    rows = [line.split() for line in emit_svc(draw(records())).decode().splitlines()]
+    mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=3))
+    for mutate in mutations:
+        mutate(draw, rows)
+    lines = [draw(st.sampled_from([" ", "\t", " \t "])).join(tokens)
+             + draw(st.sampled_from(["", "", " ", "\t "]))
+             for tokens in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    eol = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    return (text.encode() if draw(st.booleans()) else text), not mutations and eol == "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(svc_files())
+def test_vectorized_parse_matches_line_loop(case):
+    data, must_be_fast = case
+    assert _outcome(data) == _line_loop_outcome(data)
+    if must_be_fast:
+        raw = data.encode() if isinstance(data, str) else data
+        assert svc._rows_vectorized(raw) is not None
+
+
+SEVEN = ["0 0 0 1 0 0 5", "1 1 10 1 0 0 5", "2 2 20 0 0 0 5"]
+
+
+def _file(rows, header="3", eol="\n", final=True):
+    return eol.join([header, *rows]) + (eol if final else "")
+
+
+@pytest.mark.parametrize("data", [
+    _file(SEVEN),
+    _file(["0 0 0 1", "1 1 10 1", "2 2 20 0"]),
+    _file(SEVEN, eol="\r\n"),
+    _file(SEVEN, final=False),
+    _file([row.replace(" ", "\t") for row in SEVEN]),
+    _file([row + " \t " for row in SEVEN]),
+    _file(["", *SEVEN[:2], "  \t", SEVEN[2], ""]),
+    *[_file([SEVEN[0], f"{token} 1 10 1 0 0 5", SEVEN[2]]) for token in ODD_TOKENS],
+    *[_file([SEVEN[0], f"0 {token} 10 1 0 0 5", SEVEN[2]])
+      for token in ["10-5", "+", "-", "1+2", "+-1", "+ 1"]],
+    _file([SEVEN[0], "1 1 10 1 0 0 -", SEVEN[2]]),
+    _file([*SEVEN[:2], "2 2 20 0 0 0 -"]),
+    _file([*SEVEN[:2], "2 2 20 0 0 0 -"], final=False),
+    _file([SEVEN[0], "1 1 -1 1 0 0 5", SEVEN[2]]),
+    _file([SEVEN[0], "1 1 10 1 0 0 1024", SEVEN[2]]),
+    _file([SEVEN[0], "1 1 10 1 0", SEVEN[2]]),
+    _file([SEVEN[0], "1 1 10 1", SEVEN[2]]),
+    _file(["0 0 0 1", "1 1 10 1 0 0 5 1 1 10 1", "2 2 20 0"]),
+    _file(["0 0 0 1 0 0 5", "1 1 10 1", "9 9 10 0 0 30 5 2 2 20"]),
+    _file(["0 0 0 1 0", "1 1 10 1 0", "2 2 20 0 0"]),
+    _file(SEVEN + SEVEN[2:]),
+    _file(SEVEN[:2]),
+    *[_file(SEVEN, header=header) for header in ["", "1", "0", "+3", "003", "3 3", "x", str(2**64)]],
+    _file([SEVEN[0], "0" * 5000 + "1 1 10 1 0 0 5", SEVEN[2]]),
+    _file([SEVEN[0], "-1" + "0" * 5000 + " 1 10 1 0 0 5", SEVEN[2]]),
+    _file(SEVEN, header="0" * 5000 + "3"),
+    _file(SEVEN[:1], header="1"),
+    "0\n",
+    "3",
+    "",
+])
+def test_vectorized_parse_matches_line_loop_on_edge_cases(data):
+    assert _outcome(data) == _line_loop_outcome(data)
+    assert _outcome(data.encode()) == _line_loop_outcome(data.encode())
+
+
+def test_corpus_files_take_vectorized_path_with_owned_columns(tmp_path):
+    generate(SynthConfig(n_users=2, seed=7), tmp_path)
+    files = sorted(tmp_path.glob("*/*.svc"))
+    assert files
+    for path in files:
+        data = path.read_bytes()
+        assert svc._rows_vectorized(data) is not None, path
+        rec = parse_svc(data)
+        assert rec == _line_loop_outcome(data)
+        for name in ("x", "y", "pressure", "timestamp"):
+            column = getattr(rec, name)
+            assert column.dtype == np.int64 and column.base is None, name
+        assert rec.pen_down.dtype == bool and rec.pen_down.base is None
 
 
 def _valid_record(**overrides):
