@@ -155,7 +155,7 @@ def record_filename(record: SignatureRecord) -> str:
 
 
 def _parse_record_filename(path: Path) -> tuple[SignatureKind, int, int]:
-    match = re.fullmatch(r"([a-z]+)_(\d+)_(\d+)\.svc", path.name)
+    match = re.fullmatch(r"([a-z]+)_([0-9]+)_([0-9]+)\.svc", path.name)
     if match is None or match[1] not in _KIND_BY_NAME:
         raise ProtocolError(
             f"file name {path.name!r} does not match <kind>_<session>_<index>.svc"
@@ -187,7 +187,7 @@ def load_dataset(root: str | Path, manifest: str | Path | None = None) -> list[S
             path, user_id, kind_name, session, index = fields
             if kind_name not in _KIND_BY_NAME:
                 raise ProtocolError(f"{manifest}:{ln}: unknown kind {kind_name!r}")
-            if not (session.isdecimal() and index.isdecimal()):
+            if not (re.fullmatch("[0-9]+", session) and re.fullmatch("[0-9]+", index)):
                 raise ProtocolError(f"{manifest}:{ln}: session and index must be integers")
             if int(session) < 1:
                 raise ProtocolError(f"{manifest}:{ln}: session must be at least 1")

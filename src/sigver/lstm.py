@@ -13,11 +13,27 @@ per-gate arrays (``W_f`` ... ``b_c``) that model files store.
 
 The layer has one entry point, ``lstm_forward_batch``, with its
 gradient ``lstm_backward_batch``. It runs B sequences from a zero
-initial state against shared read-only parameters, under a boolean
-mask. A step whose mask is False copies the previous state unchanged
-and emits the carried output, so trailing padding never changes the
-numbers computed at valid steps, bit for bit. Gradients accumulate as
-an ordered sum, so results do not depend on how callers split work.
+initial state against shared read-only parameters, under a prefix
+mask: row b is valid for its first length_b steps and padding after.
+Past its length a row keeps its state and emits the carried output, so
+trailing padding never changes the numbers computed at valid steps, bit
+for bit. Any other mask is a ValueError.
+
+The recurrence is packed by length. The engine sorts the rows longest
+first, so at step t the rows still running are a prefix of the batch,
+and it does every elementwise operation of the step on that prefix
+only; padded row-steps cost no gate work. The two matrix products of a
+step still run at the full height B: OpenBLAS does not always give a
+row the same bits when the row count changes (a single row goes through
+GEMV), so a fixed height keeps the results equal to the unpacked
+recurrence's. The forward products give the same bits for any row order
+at the sizes used here, but the backward recurrent product through the
+transposed W_h does not when B % 4 != 0 (K x N of 92 x 23 or 184 x 46,
+for instance). So the backward pass writes each step's gate gradients
+into a caller-order buffer first and runs that product, and the
+whole-run reductions for dW, db and the input gradient, on it. Outputs,
+final state and gradients come back in caller order, equal bit for bit
+to running every row at every step.
 """
 from __future__ import annotations
 
@@ -137,7 +153,7 @@ def lstm_forward_batch(
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict | None]:
     """Run B sequences of length T through the layer from zero state.
 
-    inputs: (B, T, D); mask: (B, T) booleans, default all-valid.
+    inputs: (B, T, D); mask: (B, T) prefix mask, default all-valid.
     Returns (outputs (B, T, H), (final h (B, H), final C (B, H)), cache).
     The cache feeds lstm_backward_batch. With ``keep_cache=False`` the
     per-step gates and cell states are not kept, which saves most of the
@@ -156,6 +172,12 @@ def lstm_forward_batch(
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (n_batch, n_steps):
         raise ValueError(f"mask shape {mask.shape} != {(n_batch, n_steps)}")
+    lengths = np.count_nonzero(mask, axis=1)
+    if not np.array_equal(mask, np.arange(n_steps) < lengths[:, None]):
+        raise ValueError("mask must be a prefix mask: each row True then False")
+    order = np.argsort(-lengths, kind="stable")  # longest first
+    inv = np.argsort(order)
+    active = np.count_nonzero(mask, axis=0).tolist()  # rows longer than t
 
     # Splitting W keeps the per-step products at a fixed shape, so a run
     # with extra trailing padding repeats the exact same BLAS calls on the
@@ -166,8 +188,8 @@ def lstm_forward_batch(
     C = np.zeros((n_batch, h_size))
 
     inputs_t = np.ascontiguousarray(inputs.transpose(1, 0, 2))
-    mask_t = np.ascontiguousarray(mask.T)
-    out_t = np.empty((n_steps, n_batch, h_size))
+    x = np.empty((n_batch, d))
+    out_s = np.empty((n_steps, n_batch, h_size))
     kept = n_steps if keep_cache else 1  # without a cache, step t reuses slot 0
     gates = np.empty((kept, n_batch, 4 * h_size))
     c_prev = np.empty((kept, n_batch, h_size))
@@ -176,95 +198,101 @@ def lstm_forward_batch(
     rec = np.empty_like(pre)
 
     for t in range(n_steps):
-        np.matmul(inputs_t[t], W_xT, out=pre)
-        pre += params.b
+        a = active[t]
+        np.take(inputs_t[t], order, axis=0, out=x, mode="clip")
+        np.matmul(x, W_xT, out=pre)
         np.matmul(h, W_hT, out=rec)
-        pre += rec
+        p = pre[:a]
+        p += params.b
+        p += rec[:a]
         slot = t if keep_cache else 0
-        gt = gates[slot]
-        expit(pre[:, : 3 * h_size], out=gt[:, : 3 * h_size])
-        np.tanh(pre[:, 3 * h_size :], out=gt[:, 3 * h_size :])
+        gt = gates[slot, :a]
+        expit(p[:, : 3 * h_size], out=gt[:, : 3 * h_size])
+        np.tanh(p[:, 3 * h_size :], out=gt[:, 3 * h_size :])
         f, i, o, g = (gt[:, k * h_size : (k + 1) * h_size] for k in range(4))
-        c_prev[slot] = C
-        C_new = f * C + i * g
-        tC = np.tanh(C_new, out=c_tanh[slot])
-        h_new = o * tC
-
-        m = mask_t[t][:, None]
-        h = np.where(m, h_new, h)
-        C = np.where(m, C_new, C)
-        out_t[t] = h
+        c_prev[slot, :a] = C[:a]
+        C[:a] = f * C[:a] + i * g
+        np.multiply(o, np.tanh(C[:a], out=c_tanh[slot, :a]), out=h[:a])
+        out_s[t] = h
 
     cache = {
-        "gates": gates, "c_prev": c_prev, "c_tanh": c_tanh,
-        "out_t": out_t, "inputs_t": inputs_t, "mask_t": mask_t,
+        "gates": gates, "c_prev": c_prev, "c_tanh": c_tanh, "out_s": out_s,
+        "inputs_t": inputs_t, "mask_t": mask.T,
+        "order": order, "inv": inv, "active": active,
         "W_hT": W_hT, "W_xT": W_xT, "hidden": h_size, "input": d,
     } if keep_cache else None
-    return np.ascontiguousarray(out_t.transpose(1, 0, 2)), (h, C), cache
+    outputs = np.take(out_s.transpose(1, 0, 2), inv, axis=0)
+    return outputs, (np.take(h, inv, axis=0), np.take(C, inv, axis=0)), cache
 
 
 def lstm_backward_batch(
     params: LstmParams,
     cache: dict,
     grad_outputs: np.ndarray,
-) -> tuple[LstmParams, np.ndarray]:
+    *,
+    input_grad: bool = True,
+) -> tuple[LstmParams, np.ndarray | None]:
     """Gradients of a batched forward pass.
 
     grad_outputs: (B, T, H) upstream gradient on the emitted outputs.
     Returns (parameter gradients shaped like params, input gradients
-    (B, T, D)). Masked steps contribute nothing to parameter or input
-    gradients; their upstream gradient flows back to the carried state.
+    (B, T, D), or None with ``input_grad=False``). Masked steps contribute
+    nothing to parameter or input gradients; their upstream gradient
+    flows back to the carried state.
     """
     h_size, d = cache["hidden"], cache["input"]
-    mask_t = cache["mask_t"]
-    n_steps, n_batch = mask_t.shape
+    n_steps, n_batch = cache["mask_t"].shape
     grad_outputs = np.asarray(grad_outputs, dtype=np.float64)
     if grad_outputs.shape != (n_batch, n_steps, h_size):
         raise ValueError(
             f"grad_outputs shape {grad_outputs.shape} != {(n_batch, n_steps, h_size)}"
         )
     gates, c_tanh, c_prev = cache["gates"], cache["c_tanh"], cache["c_prev"]
+    order, inv, active = cache["order"], cache["inv"], cache["active"]
     W_h = cache["W_hT"].T
 
-    go_t = np.ascontiguousarray(grad_outputs.transpose(1, 0, 2))
+    go_s = np.take(grad_outputs.transpose(1, 0, 2), order, axis=1)
     dh = np.zeros((n_batch, h_size))
     dC = np.zeros((n_batch, h_size))
-    dpre = np.empty((n_steps, n_batch, 4 * h_size))
+    # rows past the active prefix stay zero: the prefix only grows backward
+    dp = np.zeros((n_batch, 4 * h_size))
+    rec = np.empty((n_batch, h_size))
+    dpre = np.empty((n_steps, n_batch, 4 * h_size))  # caller row order
 
     for t in reversed(range(n_steps)):
-        dh = dh + go_t[t]
-        m = mask_t[t][:, None]
-        dh_cell = np.where(m, dh, 0.0)
-        dC_cell = np.where(m, dC, 0.0)
+        dh += go_s[t]
+        a = active[t]
+        f, i, o, g = (gates[t, :a, k * h_size : (k + 1) * h_size] for k in range(4))
+        tC = c_tanh[t, :a]
+        dh_a = dh[:a]
 
-        f, i, o, g = (gates[t][:, k * h_size : (k + 1) * h_size] for k in range(4))
-        tC = c_tanh[t]
+        do = dh_a * tC
+        dCt = dC[:a] + dh_a * o * (1.0 - tC * tC)
 
-        do = dh_cell * tC
-        dCt = dC_cell + dh_cell * o * (1.0 - tC * tC)
+        dp[:a, :h_size] = (dCt * c_prev[t, :a]) * f * (1.0 - f)
+        dp[:a, h_size : 2 * h_size] = (dCt * g) * i * (1.0 - i)
+        dp[:a, 2 * h_size : 3 * h_size] = do * o * (1.0 - o)
+        dp[:a, 3 * h_size :] = (dCt * i) * (1.0 - g * g)
 
-        # masked rows have dh_cell = dC_cell = 0, so their dpre rows are
-        # exactly zero and drop out of the whole-run products below
-        dp = dpre[t]
-        dp[:, :h_size] = (dCt * c_prev[t]) * f * (1.0 - f)
-        dp[:, h_size : 2 * h_size] = (dCt * g) * i * (1.0 - i)
-        dp[:, 2 * h_size : 3 * h_size] = do * o * (1.0 - o)
-        dp[:, 3 * h_size :] = (dCt * i) * (1.0 - g * g)
-
-        dh = np.where(m, dp @ W_h, dh)
-        dC = np.where(m, dCt * f, dC)
+        # the recurrent product runs in caller row order: its bits depend
+        # on a row's position in the batch
+        np.take(dp, inv, axis=0, out=dpre[t], mode="clip")
+        np.matmul(dpre[t], W_h, out=rec)
+        np.take(rec, order[:a], axis=0, out=dh_a, mode="clip")
+        np.multiply(dCt, f, out=dC[:a])
 
     flat = dpre.reshape(n_steps * n_batch, 4 * h_size)
-    h_prev = np.zeros_like(cache["out_t"])  # the state before step 0 is zero
-    h_prev[1:] = cache["out_t"][:-1]
+    h_prev = np.zeros((n_steps, n_batch, h_size))  # the state before step 0 is zero
+    np.take(cache["out_s"][:-1], inv, axis=1, out=h_prev[1:], mode="clip")
     dW_h = flat.T @ h_prev.reshape(n_steps * n_batch, h_size)
     dW_x = flat.T @ cache["inputs_t"].reshape(n_steps * n_batch, d)
     dW = np.concatenate([dW_h, dW_x], axis=1)
     db = dpre.sum(axis=(0, 1))
+    if not input_grad:
+        return LstmParams(dW, db), None
     dinputs = np.ascontiguousarray(
         (flat @ cache["W_xT"].T).reshape(n_steps, n_batch, d).transpose(1, 0, 2)
     )
-
     return LstmParams(dW, db), dinputs
 
 

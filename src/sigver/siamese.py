@@ -255,7 +255,7 @@ def _backward_pairs(model: SiameseModel, context: dict, dz: np.ndarray) -> np.nd
     grad_steps[context["right"]] += merge_din[..., hb:]
 
     branch_grads, _ = lstm_backward_batch(
-        model.branch, context["branch_cache"], grad_branch_out
+        model.branch, context["branch_cache"], grad_branch_out, input_grad=False
     )
 
     g = [branch_grads.W, branch_grads.b, merge_grads.W, merge_grads.b,

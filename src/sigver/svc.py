@@ -2,7 +2,9 @@
 
 The on-disk format is the plain-text layout of the first Signature
 Verification Competition: a header line with the sample count, then one
-whitespace-separated sample per line. Two column layouts are accepted:
+sample per line, its tokens separated by spaces or tabs. Lines end at
+``\\n``, optionally preceded by ``\\r``; any other control character is a
+ParseError. Two column layouts are accepted:
 
     x y timestamp button                                (4 columns)
     x y timestamp button azimuth altitude pressure      (7 columns)
@@ -132,16 +134,31 @@ def _int_tokens(tokens: list[str], line_no: int) -> list[int]:
     return values
 
 
+_CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f\x7f-\x9f]")  # every control character but tab
+
+
+def _line_tokens(line: str, line_no: int) -> list[str]:
+    """The tokens of one line, split at spaces and tabs only."""
+    bad = _CONTROL.search(line)
+    if bad is not None:
+        raise ParseError(f"control character {bad[0]!r}", line_no)
+    return [tok for tok in line.replace("\t", " ").split(" ") if tok]
+
+
 def _rows_by_line(text: str) -> np.ndarray:
     """The sample rows of ``text``, read line by line.
 
     The reference parser: every ParseError comes from here, so its
-    message and line number name the first fault in file order.
+    message and line number name the first fault in file order. Lines
+    end at ``\\n``, each dropping one trailing ``\\r``.
     """
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the final newline ends the last line
+    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    header = _line_tokens(lines[0], 1) if lines else []
+    if not header:
         raise ParseError("missing sample-count header", 1)
-    header = lines[0].split()
     if len(header) != 1:
         raise ParseError("header must be a single sample count", 1)
     declared = _int_tokens(header, 1)[0]
@@ -151,11 +168,11 @@ def _rows_by_line(text: str) -> np.ndarray:
     rows: list[list[int]] = []
     n_cols = None
     for offset, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
+        tokens = _line_tokens(raw, offset)
+        if not tokens:
             continue
         if len(rows) >= declared:
             raise ParseError(f"more samples than the declared {declared}", offset)
-        tokens = raw.split()
         if len(tokens) not in (4, 7):
             raise ParseError(f"expected 4 or 7 columns, found {len(tokens)}", offset)
         if n_cols is None:

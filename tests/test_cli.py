@@ -344,6 +344,21 @@ def corpus_int64_overflow(tmp, corpus):
             "integer range")
 
 
+def corpus_non_ascii_session(tmp, corpus):
+    (tmp / "data" / "u0").mkdir(parents=True)
+    (tmp / "data" / "u0" / "genuine_\u0663_00.svc").write_text("2\n0 0 0 1\n1 1 10 1\n")
+    return (["train", "--data", tmp / "data", "--out", tmp / "m"], 1,
+            "error: file name 'genuine_\u0663_00.svc' does not match")
+
+
+def manifest_non_ascii_session(tmp, corpus):
+    manifest = tmp / "index.tsv"
+    svc = corpus / "u000" / "genuine_1_00.svc"
+    manifest.write_text(f"{svc}\tu000\tgenuine\t\u0663\t0\n")
+    return (["train", "--data", tmp, "--manifest", manifest, "--out", tmp / "m"], 1,
+            f"error: {manifest}:1: session and index must be integers")
+
+
 def manifest_bad_session(tmp, corpus):
     manifest = tmp / "index.tsv"
     svc = corpus / "u000" / "genuine_1_00.svc"
@@ -377,6 +392,7 @@ def sffs_k_zero(tmp, corpus):
     results_without_system, config_bad_columns, config_bad_users,
     config_misspelt_flag, config_bad_choice, corpus_bad_session, corpus_bad_token,
     corpus_int64_overflow, manifest_bad_session, corpus_session_zero, manifest_session_zero,
+    corpus_non_ascii_session, manifest_non_ascii_session,
     sffs_k_zero,
 ], ids=lambda case: case.__name__)
 def test_bad_input_is_one_line_error(case, corpus, tmp_path, capsys):

@@ -236,6 +236,26 @@ def test_manifest_session_zero_rejected_before_any_file_is_read(tmp_path):
     assert str(err.value) == f"{manifest}:2: session must be at least 1"
 
 
+@pytest.mark.parametrize("name", ["genuine_\u0663_00.svc", "genuine_1_\u0660\u0660.svc",
+                                  "genuine_\uff11_00.svc"])
+def test_non_ascii_digits_in_file_name_rejected(tmp_path, name):
+    (tmp_path / "u0").mkdir()
+    (tmp_path / "u0" / name).write_text("2\n0 0 0 1\n1 1 10 1\n")
+    with pytest.raises(ProtocolError) as err:
+        load_dataset(tmp_path)
+    assert str(err.value) == (
+        f"file name {name!r} does not match <kind>_<session>_<index>.svc")
+
+
+@pytest.mark.parametrize("fields", ["\u0663\t0", "1\t\u0660", "\uff11\t0"])
+def test_non_ascii_digits_in_manifest_rejected(tmp_path, fields):
+    manifest = tmp_path / "index.tsv"
+    manifest.write_text(f"missing.svc\tu0\tgenuine\t1\t0\nmissing.svc\tu0\tgenuine\t{fields}\n")
+    with pytest.raises(ProtocolError) as err:
+        load_dataset(tmp_path, manifest=manifest)
+    assert str(err.value) == f"{manifest}:2: session and index must be integers"
+
+
 def test_parse_error_names_file_and_keeps_line(tmp_path):
     svc = tmp_path / "u0" / "genuine_1_00.svc"
     svc.parent.mkdir()

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from sigver.lstm import (
     LstmParams,
@@ -39,6 +42,143 @@ def scalar_cell(params: LstmParams, h, C, x):
         C_new.append(c)
         h_new.append(o * math.tanh(c))
     return h_new, C_new
+
+
+def unpacked_forward(params: LstmParams, inputs, mask):
+    """Reference engine: every step on all B rows in caller order, masked
+    rows carried by np.where. The packed engine must match it bit for bit."""
+    B, T, _ = inputs.shape
+    H = params.hidden_size
+    W_hT = np.ascontiguousarray(params.W[:, :H].T)
+    W_xT = np.ascontiguousarray(params.W[:, H:].T)
+    h = np.zeros((B, H))
+    C = np.zeros((B, H))
+    inputs_t = np.ascontiguousarray(inputs.transpose(1, 0, 2))
+    mask_t = np.ascontiguousarray(mask.T)
+    out_t = np.empty((T, B, H))
+    gates = np.empty((T, B, 4 * H))
+    c_prev = np.empty((T, B, H))
+    c_tanh = np.empty_like(c_prev)
+    pre = np.empty((B, 4 * H))
+    rec = np.empty_like(pre)
+    for t in range(T):
+        np.matmul(inputs_t[t], W_xT, out=pre)
+        pre += params.b
+        np.matmul(h, W_hT, out=rec)
+        pre += rec
+        gt = gates[t]
+        expit(pre[:, : 3 * H], out=gt[:, : 3 * H])
+        np.tanh(pre[:, 3 * H :], out=gt[:, 3 * H :])
+        f, i, o, g = (gt[:, k * H : (k + 1) * H] for k in range(4))
+        c_prev[t] = C
+        C_new = f * C + i * g
+        tC = np.tanh(C_new, out=c_tanh[t])
+        h_new = o * tC
+        m = mask_t[t][:, None]
+        h = np.where(m, h_new, h)
+        C = np.where(m, C_new, C)
+        out_t[t] = h
+    cache = (gates, c_prev, c_tanh, out_t, inputs_t, mask_t, W_hT, W_xT)
+    return np.ascontiguousarray(out_t.transpose(1, 0, 2)), (h, C), cache
+
+
+def unpacked_backward(cache, grad_outputs):
+    gates, c_prev, c_tanh, out_t, inputs_t, mask_t, W_hT, W_xT = cache
+    T, B = mask_t.shape
+    H, D = W_hT.shape[0], W_xT.shape[0]
+    W_h = W_hT.T
+    go_t = np.ascontiguousarray(grad_outputs.transpose(1, 0, 2))
+    dh = np.zeros((B, H))
+    dC = np.zeros((B, H))
+    dpre = np.empty((T, B, 4 * H))
+    for t in reversed(range(T)):
+        dh = dh + go_t[t]
+        m = mask_t[t][:, None]
+        dh_cell = np.where(m, dh, 0.0)
+        dC_cell = np.where(m, dC, 0.0)
+        f, i, o, g = (gates[t][:, k * H : (k + 1) * H] for k in range(4))
+        tC = c_tanh[t]
+        do = dh_cell * tC
+        dCt = dC_cell + dh_cell * o * (1.0 - tC * tC)
+        dp = dpre[t]
+        dp[:, :H] = (dCt * c_prev[t]) * f * (1.0 - f)
+        dp[:, H : 2 * H] = (dCt * g) * i * (1.0 - i)
+        dp[:, 2 * H : 3 * H] = do * o * (1.0 - o)
+        dp[:, 3 * H :] = (dCt * i) * (1.0 - g * g)
+        dh = np.where(m, dp @ W_h, dh)
+        dC = np.where(m, dCt * f, dC)
+    flat = dpre.reshape(T * B, 4 * H)
+    h_prev = np.zeros_like(out_t)
+    h_prev[1:] = out_t[:-1]
+    dW_h = flat.T @ h_prev.reshape(T * B, H)
+    dW_x = flat.T @ inputs_t.reshape(T * B, D)
+    dinputs = np.ascontiguousarray((flat @ W_xT.T).reshape(T, B, D).transpose(1, 0, 2))
+    return np.concatenate([dW_h, dW_x], axis=1), dpre.sum(axis=(0, 1)), dinputs
+
+
+def assert_matches_unpacked(params, inputs, lengths, grad_outputs):
+    """Packed and unpacked engines agree in every bit, with and without a cache."""
+    mask = np.arange(inputs.shape[1]) < np.asarray(lengths)[:, None]
+    ref_out, (ref_h, ref_C), ref_cache = unpacked_forward(params, inputs, mask)
+    ref_dW, ref_db, ref_din = unpacked_backward(ref_cache, grad_outputs)
+    runs = [lstm_forward_batch(params, inputs, mask, keep_cache) for keep_cache in (True, False)]
+    for out, (h, C), _ in runs:
+        assert out.tobytes() == ref_out.tobytes()
+        assert h.tobytes() == ref_h.tobytes()
+        assert C.tobytes() == ref_C.tobytes()
+    grads, dinputs = lstm_backward_batch(params, runs[0][2], grad_outputs)
+    assert grads.W.tobytes() == ref_dW.tobytes()
+    assert grads.b.tobytes() == ref_db.tobytes()
+    assert dinputs.tobytes() == ref_din.tobytes()
+
+
+# (H, D) at the CLI defaults (branch 16/23, merge 8/32) and the library
+# defaults (branch 46/23, merge 23/92)
+ENGINE_SIZES = [(16, 23), (8, 32), (46, 23), (23, 92)]
+
+
+@st.composite
+def packed_cases(draw):
+    H, D = draw(st.sampled_from(ENGINE_SIZES))
+    B = draw(st.sampled_from([*range(1, 21), 128, 130]))
+    T = draw(st.integers(1, 9))
+    length = st.integers(0, T)
+    shape = draw(st.sampled_from(["free", "ties", "equal"]))
+    if shape == "equal":
+        lengths = [draw(length)] * B
+    elif shape == "ties":
+        pool = draw(st.lists(length, min_size=1, max_size=3))
+        lengths = [pool[k] for k in draw(st.lists(st.integers(0, len(pool) - 1),
+                                                  min_size=B, max_size=B))]
+    else:
+        lengths = draw(st.lists(length, min_size=B, max_size=B))
+    return H, D, T, lengths, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_cases())
+def test_packed_engine_matches_unpacked_bit_for_bit(case):
+    H, D, T, lengths, seed = case
+    rng = np.random.default_rng(seed)
+    B = len(lengths)
+    params = random_params(rng, H, D, scale=0.3)
+    inputs = rng.normal(0, 1, (B, T, D))
+    assert_matches_unpacked(params, inputs, lengths, rng.normal(0, 1, (B, T, H)))
+
+
+@pytest.mark.parametrize("size", ENGINE_SIZES, ids=lambda s: f"H{s[0]}-D{s[1]}")
+@pytest.mark.parametrize("B", [5, 6, 7, 9, 13, 130])
+def test_packed_engine_matches_unpacked_at_ragged_heights(size, B):
+    # B % 4 != 0: at the library sizes the recurrent backward product's
+    # bits depend on a row's position, so sorted-order rows would differ
+    H, D = size
+    rng = np.random.default_rng(B * 100 + H)
+    T = 11
+    lengths = rng.integers(1, T + 1, B)
+    lengths[: B // 3] = lengths[0]  # ties
+    params = random_params(rng, H, D, scale=0.3)
+    inputs = rng.normal(0, 1, (B, T, D))
+    assert_matches_unpacked(params, inputs, lengths, rng.normal(0, 1, (B, T, H)))
 
 
 def random_params(rng, hidden, inputs, scale=0.8):
@@ -200,6 +340,53 @@ def test_masked_steps_get_zero_input_gradient(rng):
     _, dinputs = lstm_backward_batch(params, cache, np.ones((2, T, H)))
     assert np.array_equal(dinputs[0, 3:], np.zeros((3, D)))
     assert np.any(dinputs[0, :3] != 0.0)
+
+
+def test_non_prefix_mask_is_rejected(rng):
+    params = random_params(rng, 3, 2)
+    for row in ([True, False, True], [False, True, True], [False, False, True]):
+        mask = np.array([[True, True, True], row])
+        with pytest.raises(ValueError, match="prefix mask"):
+            lstm_forward_batch(params, np.zeros((2, 3, 2)), mask)
+
+
+def test_zero_length_row_outputs_zeros_and_gets_zero_gradient(rng):
+    H, D, T = 3, 2, 5
+    params = random_params(rng, H, D)
+    inputs = rng.normal(0, 1, (3, T, D))
+    mask = np.arange(T) < np.array([4, 0, 5])[:, None]
+    out, (h, C), cache = lstm_forward_batch(params, inputs, mask)
+    assert not out[1].any() and not h[1].any() and not C[1].any()
+    grad_outputs = rng.normal(0, 1, (3, T, H))
+    grads, dinputs = lstm_backward_batch(params, cache, grad_outputs)
+    assert not dinputs[1].any() and dinputs[0].any()
+    # the row's upstream gradient reaches no parameter
+    grad_outputs[1] = rng.normal(0, 1, (T, H))
+    other, _ = lstm_backward_batch(params, cache, grad_outputs)
+    assert other.W.tobytes() == grads.W.tobytes()
+    assert other.b.tobytes() == grads.b.tobytes()
+
+
+def test_backward_without_input_gradient(rng):
+    H, D, T, B = 4, 3, 6, 5
+    params = random_params(rng, H, D)
+    mask = np.arange(T) < np.array([6, 2, 4, 6, 1])[:, None]
+    _, _, cache = lstm_forward_batch(params, rng.normal(0, 1, (B, T, D)), mask)
+    grad_outputs = rng.normal(0, 1, (B, T, H))
+    full, dinputs = lstm_backward_batch(params, cache, grad_outputs)
+    lean, none = lstm_backward_batch(params, cache, grad_outputs, input_grad=False)
+    assert none is None and dinputs.shape == (B, T, D)
+    assert lean.W.tobytes() == full.W.tobytes()
+    assert lean.b.tobytes() == full.b.tobytes()
+
+
+def test_cache_reports_mask_layout(rng):
+    # the benchmark tracer counts row-steps from these two entries
+    params = random_params(rng, 3, 2)
+    mask = np.arange(4) < np.array([4, 1, 3])[:, None]
+    _, _, cache = lstm_forward_batch(params, rng.normal(0, 1, (3, 4, 2)), mask)
+    assert cache["mask_t"].shape == (4, 3)
+    assert cache["input"] == 2
 
 
 def test_batch_matches_single_sequence(rng):

@@ -83,6 +83,39 @@ def test_token_grammar_is_signed_ascii_digits(token):
         assert "non-numeric token" in str(err.value)
 
 
+# characters that str.split or str.splitlines would treat as format syntax
+CONTROL = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85"]
+
+
+@pytest.mark.parametrize("ch", [*CONTROL, "\x00", "\x7f"])
+def test_control_characters_are_parse_errors(ch):
+    cases = [
+        (f"2\n0 0 0 1\n1{ch}1 10 1\n", 3),  # between tokens
+        (f"2\n0 0 0 1{ch}1 1 10 1\n", 2),  # between samples
+        (f"2\n0 0 0 1\n1 1 10 1\n{ch}\n", 4),  # a line of its own
+        (f"2{ch}\n0 0 0 1\n1 1 10 1\n", 1),  # in the header
+    ]
+    for text, line in cases:
+        for data in (text, text.encode()) if ch.isascii() else (text,):
+            with pytest.raises(ParseError) as err:
+                parse_svc(data)
+            assert err.value.line == line
+            assert str(err.value) == f"line {line}: control character {ch!r}"
+
+
+def test_lines_end_at_newline_with_one_optional_carriage_return():
+    assert parse_svc(b"2\r\n0 0 0 1\r\n1 1 10 1\r").x.tolist() == [0, 1]
+    assert parse_svc(b"2\n0\t0 \t0 1\t\n\r\n1 1 10 1\n").x.tolist() == [0, 1]
+    for data, message in [
+        (b"2\n0 0 0 1\n1 1 10 1\r\r\n", "line 3: control character '\\r'"),
+        (b"2\n0 0 0 1\r1 1 10 1\n", "line 2: control character '\\r'"),
+        (b"2\n0\x1f0 0 1\x1c1 1 10 1\n", "line 2: control character '\\x1f'"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_svc(data)
+        assert str(err.value) == message
+
+
 def test_signed_and_zero_padded_tokens_accepted():
     rec = parse_svc(b"2\n+1 -0 007 1\n-12 +0 7 0\n")
     assert rec.x.tolist() == [1, -12]
@@ -281,8 +314,17 @@ def _odd_header(draw, rows):
                                     ["x"], [str(2**64)]]))
 
 
+def _control_character(draw, rows):
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    ch = draw(st.sampled_from(CONTROL))
+    if row and draw(st.booleans()):
+        row[draw(st.integers(0, len(row) - 1))] += ch  # glued to a token
+    else:
+        row.insert(draw(st.integers(0, len(row))), ch)  # a token of its own
+
+
 MUTATIONS = [_odd_token, _decreasing_timestamp, _bad_pressure, _five_columns,
-             _mixed_columns, _extra_row, _missing_row, _odd_header]
+             _mixed_columns, _extra_row, _missing_row, _odd_header, _control_character]
 
 
 @st.composite
@@ -351,6 +393,12 @@ def _file(rows, header="3", eol="\n", final=True):
     _file([SEVEN[0], "-1" + "0" * 5000 + " 1 10 1 0 0 5", SEVEN[2]]),
     _file(SEVEN, header="0" * 5000 + "3"),
     _file(SEVEN[:1], header="1"),
+    *[_file([SEVEN[0], SEVEN[1].replace(" ", ch, 1), SEVEN[2]]) for ch in CONTROL],
+    *[_file([SEVEN[0] + ch + SEVEN[1], SEVEN[2]]) for ch in CONTROL],
+    *[_file([*SEVEN, ch]) for ch in CONTROL],
+    *[_file(SEVEN, header="3" + ch) for ch in CONTROL],
+    _file(SEVEN, eol="\r\n", final=False) + "\r",
+    _file(SEVEN, eol="\r\r\n"),
     "0\n",
     "3",
     "",
