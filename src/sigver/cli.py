@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 
@@ -421,6 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    if threads != "1":
+        print(f"warning: OPENBLAS_NUM_THREADS={threads}; results can differ in the "
+              "last bits from the one-thread default", file=sys.stderr)
     parser = build_parser()
     try:
         _apply_config_file(parser, argv)

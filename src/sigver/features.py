@@ -51,11 +51,6 @@ class FeatureSequence:
 
     values: np.ndarray
     key: str
-    pressure_free: bool = False
-
-    @property
-    def length(self) -> int:
-        return int(self.values.shape[0])
 
     def validate(self) -> None:
         if self.values.ndim != 2 or self.values.shape[1] != N_FEATURES:
@@ -73,16 +68,12 @@ def derivative(signal: np.ndarray) -> np.ndarray:
     Interior points use d[n] = (s[n+1] - s[n-1] + 2*(s[n+2] - s[n-2])) / 10,
     which is exact on linear signals and smooths sensor quantization.
     The two points at each boundary replicate the nearest interior value.
-    Signals shorter than 5 samples fall back to forward/central/backward
-    differences.
     """
     s = np.asarray(signal, dtype=np.float64)
     if s.ndim != 1:
         raise ValueError("derivative expects a 1-d signal")
-    if s.shape[0] < 2:
-        raise ValueError("derivative needs at least 2 samples")
     if s.shape[0] < 5:
-        return np.gradient(s)
+        raise ValueError("derivative needs at least 5 samples")
     d = np.empty_like(s)
     d[2:-2] = (s[3:-1] - s[1:-3] + 2.0 * (s[4:] - s[:-4])) / 10.0
     d[:2] = d[2]
@@ -143,7 +134,7 @@ def extract_features(
     timestamp = record.timestamp[keep]
     n = x.shape[0]
     if n < 7:
-        raise ValueError(f"sequence too short: {n} samples, need at least 7")
+        raise ValueError(f"{record.key}: sequence too short: {n} samples, need at least 7")
 
     if time_scaled:
         tscale = np.maximum(derivative(timestamp / 10.0), EPS)
@@ -182,8 +173,7 @@ def extract_features(
     values = np.column_stack(cols)
     if normalize:
         values = zscore_columns(values)
-    seq = FeatureSequence(values=values, key=record.key,
-                          pressure_free=record.pressure_free)
+    seq = FeatureSequence(values=values, key=record.key)
     seq.validate()
     return seq
 

@@ -7,11 +7,14 @@ structural rather than a synchronized copy. Scores are symmetrized by
 default (mean over both presentation orders); pairs of different length
 are padded with masked steps, which the LSTM engine treats as no-ops.
 
-A training batch of n pairs encodes 2n branch rows: the n first
-signatures, then the n second ones. A branch row does not depend on the
-pair it is in, so scoring encodes each distinct signature once per window
-of consecutive pair batches (see score_pairs). Merge row r reads branch
-rows ``left[r]`` and ``right[r]``: rows 0..n-1 read pair r as (a, b) and,
+Training (batch_loss_grads) and scoring (score_pairs) are the two ways
+into the network, and both compose the same two stages: _encode runs the
+branch, _merge_and_head the merge LSTM and the readout. A training batch
+of n pairs encodes 2n branch rows: the n first signatures, then the n
+second ones. A branch row does not depend on the pair it is in, so
+scoring encodes each distinct signature once per window of consecutive
+pair batches (see score_pairs). Merge row r reads branch rows
+``left[r]`` and ``right[r]``: rows 0..n-1 read pair r as (a, b) and,
 when symmetric, rows n..2n-1 read it as (b, a). The concat mode only
 chooses which steps the merge reads: all of them (per_step) or the last
 one (final_state). The backward pass adds the merge input gradient back
@@ -181,7 +184,8 @@ def _encode(model: SiameseModel, seqs: list, keep_cache: bool):
 def _merge_and_head(model: SiameseModel, branch_out: np.ndarray, lengths: np.ndarray,
                     rows_a: np.ndarray, rows_b: np.ndarray, keep_cache: bool):
     """Score pair r from branch rows ``rows_a[r]`` and ``rows_b[r]``; returns
-    (scores, directed sigmoids, context), as _forward_pairs does."""
+    (scores, directed sigmoids, context). The context carries what
+    _backward_pairs needs; with ``keep_cache=False`` its merge cache is None."""
     cfg = model.config
     n = rows_a.size
     left = np.concatenate([rows_a, rows_b]) if cfg.symmetric else rows_a
@@ -212,23 +216,10 @@ def _merge_and_head(model: SiameseModel, branch_out: np.ndarray, lengths: np.nda
     return scores, s_directed, context
 
 
-def _forward_pairs(model: SiameseModel, seq_a: list, seq_b: list,
-                   keep_cache: bool = True):
-    """Score a batch of pairs; returns (scores, directed sigmoids, context).
-
-    The context dict carries every intermediate needed by _backward_pairs;
-    with ``keep_cache=False`` (scoring only) its LSTM caches are None.
-    """
-    n = len(seq_a)
-    branch_out, lengths, branch_cache = _encode(model, [*seq_a, *seq_b], keep_cache)
-    scores, s_directed, context = _merge_and_head(
-        model, branch_out, lengths, np.arange(n), np.arange(n, 2 * n), keep_cache)
-    context["branch_cache"] = branch_cache
-    return scores, s_directed, context
-
-
-def _backward_pairs(model: SiameseModel, context: dict, dz: np.ndarray) -> np.ndarray:
-    """Backprop from per-directed-run score-logit gradients to a flat vector."""
+def _backward_pairs(model: SiameseModel, context: dict, branch_cache: dict,
+                    dz: np.ndarray) -> np.ndarray:
+    """Backprop from per-directed-run score-logit gradients to a flat vector,
+    given the context of _merge_and_head and the cache of _encode."""
     cfg = model.config
     hb = model.branch.hidden_size
     readout = context["readout"]
@@ -255,17 +246,10 @@ def _backward_pairs(model: SiameseModel, context: dict, dz: np.ndarray) -> np.nd
     grad_steps[context["right"]] += merge_din[..., hb:]
 
     branch_grads, _ = lstm_backward_batch(
-        model.branch, context["branch_cache"], grad_branch_out, input_grad=False
+        model.branch, branch_cache, grad_branch_out, input_grad=False
     )
-
-    g = [branch_grads.W, branch_grads.b, merge_grads.W, merge_grads.b,
-         dhead_w, np.array([dhead_b])]
-    return np.concatenate([a.ravel() for a in g])
-
-
-def score_pair(model: SiameseModel, a, b) -> float:
-    """Similarity of two feature sequences, in (0, 1)."""
-    return float(score_pairs(model, [a], [b])[0])
+    return pack_params(SiameseModel(branch_grads, merge_grads,
+                                    DenseParams(dhead_w, dhead_b), model.config))
 
 
 def score_pairs(model: SiameseModel, seq_a: list, seq_b: list,
@@ -325,7 +309,9 @@ def batch_loss_grads(
     if n == 0:
         raise ValueError("empty batch")
     labels = np.asarray(labels, dtype=np.float64)
-    scores, s_directed, context = _forward_pairs(model, seq_a, seq_b)
+    branch_out, lengths, branch_cache = _encode(model, [*seq_a, *seq_b], keep_cache=True)
+    scores, s_directed, context = _merge_and_head(
+        model, branch_out, lengths, np.arange(n), np.arange(n, 2 * n), keep_cache=True)
 
     s_c = np.clip(scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
     losses = -(labels * np.log(s_c) + (1.0 - labels) * np.log(1.0 - s_c))
@@ -333,7 +319,7 @@ def batch_loss_grads(
     orders = s_directed.size // n
     dz = np.tile(dloss_dscore, orders) / orders * s_directed * (1.0 - s_directed)
 
-    grad = _backward_pairs(model, context, dz)
+    grad = _backward_pairs(model, context, branch_cache, dz)
     return float(losses.mean()), grad, scores
 
 

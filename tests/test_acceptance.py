@@ -38,7 +38,6 @@ from sigver.siamese import (
     pack_params,
     pair_loss,
     batch_loss_grads,
-    score_pair,
     score_pairs,
     train,
     unpack_params,
@@ -85,9 +84,9 @@ def test_criterion_1_gradients_match_finite_differences():
         for j in range(base.size):
             probe = base.copy()
             probe[j] = base[j] + step
-            up = pair_loss(score_pair(unpack_params(model, probe), a, b), label[0])
+            up = pair_loss(score_pairs(unpack_params(model, probe), [a], [b])[0], label[0])
             probe[j] = base[j] - step
-            down = pair_loss(score_pair(unpack_params(model, probe), a, b), label[0])
+            down = pair_loss(score_pairs(unpack_params(model, probe), [a], [b])[0], label[0])
             fd[j] = (up - down) / (2.0 * step)
 
         rel = np.abs(fd - grad) / np.maximum(np.abs(fd) + np.abs(grad), 1e-6)

@@ -2,6 +2,7 @@
 
 import csv
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -383,6 +384,14 @@ def manifest_session_zero(tmp, corpus):
             f"error: {manifest}:2: session must be at least 1")
 
 
+def corpus_too_short(tmp, corpus):
+    shutil.copytree(corpus, tmp / "data")
+    svc = tmp / "data" / "u004" / "genuine_1_00.svc"
+    svc.write_text("6\n" + "".join(f"{k} {k} {10 * k} 1\n" for k in range(6)))
+    return (["evaluate", "--data", tmp / "data", "--baseline", "--out", tmp / "r"], 1,
+            "error: u004/genuine_1_0: sequence too short: 6 samples, need at least 7")
+
+
 def sffs_k_zero(tmp, corpus):
     return (["evaluate", "--data", corpus, "--baseline", "--sffs", "--sffs-k", 0,
              "--out", tmp], 2, "usage error: --sffs-k must be at least 1")
@@ -392,7 +401,7 @@ def sffs_k_zero(tmp, corpus):
     results_without_system, config_bad_columns, config_bad_users,
     config_misspelt_flag, config_bad_choice, corpus_bad_session, corpus_bad_token,
     corpus_int64_overflow, manifest_bad_session, corpus_session_zero, manifest_session_zero,
-    corpus_non_ascii_session, manifest_non_ascii_session,
+    corpus_non_ascii_session, manifest_non_ascii_session, corpus_too_short,
     sffs_k_zero,
 ], ids=lambda case: case.__name__)
 def test_bad_input_is_one_line_error(case, corpus, tmp_path, capsys):

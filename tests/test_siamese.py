@@ -23,12 +23,10 @@ from sigver.siamese import (
     pack_params,
     pair_loss,
     save_model,
-    score_pair,
     score_pairs,
     train,
     unpack_params,
     write_training_log,
-    _forward_pairs,
 )
 
 TINY = ModelConfig(n_features=3, branch_hidden=4, merge_hidden=3)
@@ -62,13 +60,13 @@ def test_symmetric_score_commutes(rng):
     for _ in range(5):
         a = random_seq(rng, int(rng.integers(4, 10)))
         b = random_seq(rng, int(rng.integers(4, 10)))
-        assert score_pair(model, a, b) == score_pair(model, b, a)
+        assert score_pairs(model, [a], [b])[0] == score_pairs(model, [b], [a])[0]
 
 
 def test_asymmetric_score_depends_on_order(rng):
     model = tiny_model(rng, symmetric=False)
     a, b = random_seq(rng, 8), random_seq(rng, 6)
-    assert score_pair(model, a, b) != score_pair(model, b, a)
+    assert score_pairs(model, [a], [b])[0] != score_pairs(model, [b], [a])[0]
 
 
 @pytest.mark.parametrize("concat", ["per_step", "final_state"])
@@ -96,13 +94,13 @@ def test_symmetric_score_is_mean_of_both_orders(rng, concat, readout):
     merge_out = lstm_forward_batch(asym.merge, merge_in[None])[0][0]
     read = merge_out[-1] if readout == "last" else merge_out.mean(axis=0)
     by_hand = 1.0 / (1.0 + np.exp(-(read @ asym.head.w + asym.head.b)))
-    assert score_pair(asym, a, b) == pytest.approx(by_hand, rel=1e-12)
+    assert score_pairs(asym, [a], [b])[0] == pytest.approx(by_hand, rel=1e-12)
 
 
 def test_zero_parameters_score_half(rng):
     model = tiny_model(rng)
     zeroed = unpack_params(model, np.zeros(pack_params(model).size))
-    assert score_pair(zeroed, random_seq(rng, 7), random_seq(rng, 5)) == 0.5
+    assert score_pairs(zeroed, [random_seq(rng, 7)], [random_seq(rng, 5)])[0] == 0.5
 
 
 def test_scores_are_probabilities(rng):
@@ -118,7 +116,7 @@ def test_score_pairs_matches_individual_scoring(rng):
     seqs_a = [random_seq(rng, int(rng.integers(4, 12))) for _ in range(7)]
     seqs_b = [random_seq(rng, int(rng.integers(4, 12))) for _ in range(7)]
     batched = score_pairs(model, seqs_a, seqs_b, batch_size=3)
-    single = [score_pair(model, a, b) for a, b in zip(seqs_a, seqs_b)]
+    single = [score_pairs(model, [a], [b])[0] for a, b in zip(seqs_a, seqs_b)]
     assert np.allclose(batched, single, atol=1e-12)
     with pytest.raises(ValueError, match="equal length"):
         score_pairs(model, seqs_a, seqs_b[:-1])
@@ -131,7 +129,8 @@ VARIANTS = list(itertools.product(
 @pytest.mark.parametrize("hidden", [(16, 8), (46, 23)], ids=["cli", "library"])
 @pytest.mark.parametrize("symmetric,concat,readout,stride", VARIANTS)
 def test_score_pairs_equals_slicewise_forward(hidden, symmetric, concat, readout, stride):
-    """Windowed scoring has the bits of scoring each 64-pair slice alone.
+    """Windowed scoring has the bits of training's forward pass over each
+    64-pair slice alone, which encodes 2n branch rows per slice.
 
     150 distinct signatures do not fit one 128-row window, so the list
     spans several; one pair repeats a single object on both sides.
@@ -145,13 +144,15 @@ def test_score_pairs_equals_slicewise_forward(hidden, symmetric, concat, readout
     idx_a, idx_b = gen.integers(0, 150, size=(2, 300))
     idx_b[100] = idx_a[100]
     seq_a, seq_b = [seqs[i] for i in idx_a], [seqs[i] for i in idx_b]
+    labels = np.ones(300)
     expected = np.concatenate([
-        _forward_pairs(model, seq_a[lo : lo + 64], seq_b[lo : lo + 64], keep_cache=False)[0]
+        batch_loss_grads(model, seq_a[lo : lo + 64], seq_b[lo : lo + 64],
+                         labels[lo : lo + 64])[2]
         for lo in range(0, 300, 64)])
     assert np.array_equal(score_pairs(model, seq_a, seq_b), expected)
     a = seqs[0]
-    alone, _, _ = _forward_pairs(model, [a], [a], keep_cache=False)
-    assert score_pair(model, a, a) == alone[0]
+    alone = batch_loss_grads(model, [a], [a], np.ones(1))[2]
+    assert score_pairs(model, [a], [a])[0] == alone[0]
     assert score_pairs(model, [], []).shape == (0,)
 
 
@@ -170,7 +171,7 @@ def test_score_pairs_encodes_each_signature_once(rng, monkeypatch):
     score_pairs(model, [seqs[i] for i in idx_a], [seqs[i] for i in idx_b])
     assert sum(branch_rows) == len(set(idx_a) | set(idx_b)) == 20
     branch_rows.clear()
-    score_pair(model, seqs[0], seqs[0])
+    score_pairs(model, [seqs[0]], [seqs[0]])
     assert branch_rows == [2]  # a one-row GEMM rounds differently
 
 
@@ -185,7 +186,7 @@ def test_score_pairs_rejects_bad_batch_size(rng):
 def test_feature_column_mismatch_rejected(rng):
     model = tiny_model(rng)
     with pytest.raises(ValueError, match="feature columns"):
-        score_pair(model, random_seq(rng, 5, n_features=4), random_seq(rng, 5))
+        score_pairs(model, [random_seq(rng, 5, n_features=4)], [random_seq(rng, 5)])
 
 
 def test_pair_loss_values():
@@ -249,7 +250,7 @@ def test_time_stride_equals_pre_decimated_input(rng):
         config=dataclasses.replace(strided.config, time_stride=1),
     )
     a, b = random_seq(rng, 17), random_seq(rng, 11)
-    assert score_pair(strided, a, b) == score_pair(plain, a[::3], b[::3])
+    assert score_pairs(strided, [a], [b])[0] == score_pairs(plain, [a[::3]], [b[::3]])[0]
 
 
 def test_training_is_deterministic(rng):
@@ -349,7 +350,7 @@ def test_model_round_trip(tmp_path, rng):
     assert loaded.config == model.config
     assert np.array_equal(pack_params(loaded), pack_params(model))
     a, b = random_seq(rng, 9), random_seq(rng, 7)
-    assert score_pair(loaded, a, b) == score_pair(model, a, b)
+    assert score_pairs(loaded, [a], [b])[0] == score_pairs(model, [a], [b])[0]
 
 
 def test_load_rejects_bad_files(tmp_path, rng):
