@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .svc import ParseError, SignatureKind, SignatureRecord, parse_svc
+from .svc import ParseError, SignatureKind, SignatureRecord, parse_svc, record_key
 
 
 class ProtocolError(ValueError):
@@ -172,8 +172,10 @@ def load_dataset(root: str | Path, manifest: str | Path | None = None) -> list[S
     A manifest file overrides the layout: one record per line,
     tab-separated ``path  user_id  kind  session  index`` with paths
     relative to the manifest's directory (or absolute). Every manifest
-    line or file name is checked before the first file is parsed; a
-    parse error names its file.
+    line or file name is checked before the first file is parsed, and
+    two entries with one record key (``genuine_1_0.svc`` beside
+    ``genuine_1_00.svc``, or a manifest line repeated) are rejected then
+    too, naming both; a parse error names its file.
     """
     if manifest is not None:
         manifest = Path(manifest)
@@ -191,20 +193,28 @@ def load_dataset(root: str | Path, manifest: str | Path | None = None) -> list[S
                 raise ProtocolError(f"{manifest}:{ln}: session and index must be integers")
             if int(session) < 1:
                 raise ProtocolError(f"{manifest}:{ln}: session must be at least 1")
-            entries.append((manifest.parent / path, user_id, _KIND_BY_NAME[kind_name],
-                            int(session), int(index)))
+            entries.append((f"{manifest}:{ln}", manifest.parent / path, user_id,
+                            _KIND_BY_NAME[kind_name], int(session), int(index)))
     else:
         root = Path(root)
         if not root.is_dir():
             raise ProtocolError(f"dataset root {root} is not a directory")
         entries = [
-            (svc_path, user_dir.name, *_parse_record_filename(svc_path))
+            (str(svc_path), svc_path, user_dir.name, *_parse_record_filename(svc_path))
             for user_dir in sorted(p for p in root.iterdir() if p.is_dir())
             for svc_path in sorted(user_dir.glob("*.svc"))
         ]
 
+    sources: dict[str, str] = {}  # record key -> path or manifest line
+    for source, _, user_id, kind, session, index in entries:
+        key = record_key(user_id, kind, session, index)
+        if key in sources:
+            raise ProtocolError(
+                f"{source}: duplicate record key {key!r}, also from {sources[key]}")
+        sources[key] = source
+
     records = []
-    for path, user_id, kind, session, index in entries:
+    for _, path, user_id, kind, session, index in entries:
         try:
             records.append(parse_svc(path.read_bytes(), user_id=user_id, kind=kind,
                                      session=session, sample_index=index))

@@ -22,13 +22,19 @@ Columns of the feature matrix (1-based, see FEATURE_NAMES):
 Angle columns (4, 18) store the wrapped atan2 value; their derivatives
 are taken on the unwrapped signal so that crossing the +-pi seam does
 not produce a spike.
+
+The channels are computed as the rows of one (23, T) array, filled by
+dependency stage: each derivative, unwrap or min/max step runs once,
+along the last axis, on all the rows of its stage. The z-score and
+``FeatureSequence.validate`` run on its C-order (T, 23) transpose,
+because a column reduction sums in an order that depends on the memory
+layout; elementwise ufuncs give the same bits in any layout.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .svc import InvariantError, SignatureRecord
 
@@ -58,57 +64,47 @@ class FeatureSequence:
                 f"{self.key}: feature matrix must be T x {N_FEATURES}, "
                 f"got {self.values.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise InvariantError(f"{self.key}: non-finite feature values")
 
 
 def derivative(signal: np.ndarray) -> np.ndarray:
-    """Second-order regression derivative of a 1-d signal.
+    """Second-order regression derivative along the last axis.
 
     Interior points use d[n] = (s[n+1] - s[n-1] + 2*(s[n+2] - s[n-2])) / 10,
     which is exact on linear signals and smooths sensor quantization.
     The two points at each boundary replicate the nearest interior value.
+    A (k, T) array gives the k row derivatives, bit for bit as k 1-d calls.
     """
     s = np.asarray(signal, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValueError("derivative expects a 1-d signal")
-    if s.shape[0] < 5:
+    if s.ndim == 0:
+        raise ValueError("derivative expects a signal of at least 1 dimension")
+    if s.shape[-1] < 5:
         raise ValueError("derivative needs at least 5 samples")
     d = np.empty_like(s)
-    d[2:-2] = (s[3:-1] - s[1:-3] + 2.0 * (s[4:] - s[:-4])) / 10.0
-    d[:2] = d[2]
-    d[-2:] = d[-3]
+    d[..., 2:-2] = (s[..., 3:-1] - s[..., 1:-3] + 2.0 * (s[..., 4:] - s[..., :-4])) / 10.0
+    d[..., :2] = d[..., 2:3]
+    d[..., -2:] = d[..., -3:-2]
     return d
 
 
 def zscore_columns(values: np.ndarray) -> np.ndarray:
-    """Z-score each column; columns with (near-)zero spread become all-zero."""
-    mean = values.mean(axis=0)
-    std = values.std(axis=0)
+    """Z-score each column; columns with (near-)zero spread become all-zero.
+
+    Mean and spread are those of ``values.mean(axis=0)`` and
+    ``values.std(axis=0)``, bit for bit: the same reductions in the same
+    order, with the mean and the centred block computed once.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[0]
+    mean = np.add.reduce(values, axis=0) / n
+    centred = values - mean
+    std = np.sqrt(np.add.reduce(np.square(centred), axis=0) / n)
     # relative floor so an exactly-constant large column maps to zero, not noise
     varying = std > 1e-12 * np.maximum(1.0, np.abs(mean))
-    out = np.zeros_like(values)
-    out[:, varying] = (values[:, varying] - mean[varying]) / std[varying]
-    return out
-
-
-def _windowed_length_width_ratio(
-    x: np.ndarray, y: np.ndarray, size: int
-) -> np.ndarray:
-    """Stroke length / bounding-box width in a centered truncated window."""
-    n = x.shape[0]
-    half = size // 2
-    seg = np.hypot(np.diff(x), np.diff(y))
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
-    idx = np.arange(n)
-    lo = np.maximum(idx - half, 0)
-    hi = np.minimum(idx + half, n - 1)
-    length = cum[hi] - cum[lo]
-    # edge replication equals window truncation for min/max
-    width = maximum_filter1d(x, size=size, mode="nearest") - minimum_filter1d(
-        x, size=size, mode="nearest"
-    )
-    return length / (width + EPS)
+    centred /= np.where(varying, std, 1.0)
+    centred[:, ~varying] = 0.0
+    return np.ascontiguousarray(centred)
 
 
 def extract_features(
@@ -128,49 +124,53 @@ def extract_features(
     keeps them, since in-air trajectories carry signal too.
     """
     keep = record.pen_down if drop_pen_up else slice(None)
-    x = record.x[keep].astype(np.float64)
-    y = record.y[keep].astype(np.float64)
-    p = record.pressure[keep].astype(np.float64)
     timestamp = record.timestamp[keep]
-    n = x.shape[0]
+    n = timestamp.shape[0]
     if n < 7:
         raise ValueError(f"{record.key}: sequence too short: {n} samples, need at least 7")
 
-    if time_scaled:
-        tscale = np.maximum(derivative(timestamp / 10.0), EPS)
-    else:
-        tscale = 1.0
+    tscale = np.maximum(derivative(timestamp / 10.0), EPS) if time_scaled else 1.0
 
-    def deriv(signal: np.ndarray) -> np.ndarray:
-        d = derivative(signal)
+    def deriv(rows: np.ndarray) -> np.ndarray:
+        d = derivative(rows)
         return d / tscale if time_scaled else d
 
-    xd = deriv(x)
-    yd = deriv(y)
-    theta = np.arctan2(yd, xd)
-    theta_d = deriv(np.unwrap(theta))
-    v = np.hypot(xd, yd)
-    rho = np.log((v + EPS) / (np.abs(theta_d) + EPS))
-    vd = deriv(v)
-    a = np.hypot(vd, v * theta_d)
+    # row i holds channel i + 1 (FEATURE_NAMES order)
+    f = np.empty((N_FEATURES, n))
+    f[0], f[1], f[2] = record.x[keep], record.y[keep], record.pressure[keep]
+    f[7:10] = deriv(f[0:3])  # dx, dy, dp
+    f[3] = np.arctan2(f[8], f[7])  # theta
+    f[4] = np.hypot(f[7], f[8])  # v
+    steps = f[0:2, 1:] - f[0:2, :-1]  # chord steps in x and y
+    f[17, :-1] = np.arctan2(steps[1], steps[0])  # alpha
+    f[17, -1] = f[17, -2]
+    # rows 3:18:14 are (theta, alpha) and rows 10:19:8 their derivatives
+    d = deriv(np.concatenate((np.unwrap(f[3:18:14]), f[4:5])))
+    f[10:19:8], f[11] = d[:2], d[2]  # (dtheta, dalpha), dv
+    f[5] = np.log((f[4] + EPS) / (np.abs(f[10]) + EPS))  # rho
+    f[6] = np.hypot(f[11], f[4] * f[10])  # a
+    f[12:16] = deriv(f[5:9])  # drho, da, ddx, ddy
+    f[19], f[20] = np.sin(f[17]), np.cos(f[17])
+    # v, x and the cumulative chord length, each padded with 3 copies of
+    # its first and last value: a window of 5 or 7 centred on any sample
+    # then sees what the window truncated at the ends would see
+    pad = np.empty((3, n + 6))
+    pad[0:2, 3:-3] = f[4::-4]  # v, x
+    pad[2, 3] = 0.0
+    np.cumsum(np.hypot(steps[0], steps[1]), out=pad[2, 4:-3])
+    pad[:, :3], pad[:, -3:] = pad[:, 3:4], pad[:, -4:-3]
+    low, high = pad[:2, 1:n + 1].copy(), pad[:2, 1:n + 1].copy()
+    for k in range(2, 6):  # min and max over 5 samples
+        np.minimum(low, pad[:2, k:k + n], out=low)
+        np.maximum(high, pad[:2, k:k + n], out=high)
+    f[16] = low[0] / (high[0] + EPS)  # v_ratio
+    # stroke length / bounding-box width over 5 and 7 samples
+    f[21] = (pad[2, 5:n + 5] - pad[2, 1:n + 1]) / (high[1] - low[1] + EPS)
+    outer = pad[1, :n], pad[1, 6:]
+    width7 = np.maximum(high[1], np.maximum(*outer)) - np.minimum(low[1], np.minimum(*outer))
+    f[22] = (pad[2, 6:] - pad[2, :n]) / (width7 + EPS)
 
-    alpha_steps = np.arctan2(np.diff(y), np.diff(x))
-    alpha = np.append(alpha_steps, alpha_steps[-1])
-    alpha_d = deriv(np.unwrap(alpha))
-
-    v_ratio = minimum_filter1d(v, size=5, mode="nearest") / (
-        maximum_filter1d(v, size=5, mode="nearest") + EPS
-    )
-
-    cols = [
-        x, y, p, theta, v, rho, a,
-        xd, yd, deriv(p), theta_d, vd, deriv(rho), deriv(a),
-        deriv(xd), deriv(yd),
-        v_ratio, alpha, alpha_d, np.sin(alpha), np.cos(alpha),
-        _windowed_length_width_ratio(x, y, 5),
-        _windowed_length_width_ratio(x, y, 7),
-    ]
-    values = np.column_stack(cols)
+    values = np.ascontiguousarray(f.T)
     if normalize:
         values = zscore_columns(values)
     seq = FeatureSequence(values=values, key=record.key)

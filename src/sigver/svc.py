@@ -47,6 +47,11 @@ class InvariantError(ValueError):
     """A SignatureRecord violates its structural invariants."""
 
 
+def record_key(user_id: str, kind: SignatureKind, session: int, sample_index: int) -> str:
+    """The key of the record with this identity (``SignatureRecord.key``)."""
+    return f"{user_id}/{kind.value}_{session}_{sample_index}"
+
+
 @dataclass
 class SignatureRecord:
     """One captured signature as parallel per-sample arrays.
@@ -80,7 +85,7 @@ class SignatureRecord:
     @property
     def key(self) -> str:
         """Stable identity string used to index feature maps and pairs."""
-        return f"{self.user_id}/{self.kind.value}_{self.session}_{self.sample_index}"
+        return record_key(self.user_id, self.kind, self.session, self.sample_index)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignatureRecord):

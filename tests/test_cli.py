@@ -392,6 +392,14 @@ def corpus_too_short(tmp, corpus):
             "error: u004/genuine_1_0: sequence too short: 6 samples, need at least 7")
 
 
+def corpus_duplicate_key(tmp, corpus):
+    shutil.copytree(corpus, tmp / "data")
+    second = tmp / "data" / "u000" / "genuine_1_00.svc"
+    first = shutil.copy(second, second.with_name("genuine_1_0.svc"))
+    return (["extract", "--data", tmp / "data", "--out", tmp / "f"], 1,
+            f"error: {second}: duplicate record key 'u000/genuine_1_0', also from {first}")
+
+
 def sffs_k_zero(tmp, corpus):
     return (["evaluate", "--data", corpus, "--baseline", "--sffs", "--sffs-k", 0,
              "--out", tmp], 2, "usage error: --sffs-k must be at least 1")
@@ -402,7 +410,7 @@ def sffs_k_zero(tmp, corpus):
     config_misspelt_flag, config_bad_choice, corpus_bad_session, corpus_bad_token,
     corpus_int64_overflow, manifest_bad_session, corpus_session_zero, manifest_session_zero,
     corpus_non_ascii_session, manifest_non_ascii_session, corpus_too_short,
-    sffs_k_zero,
+    corpus_duplicate_key, sffs_k_zero,
 ], ids=lambda case: case.__name__)
 def test_bad_input_is_one_line_error(case, corpus, tmp_path, capsys):
     argv, code, message = case(tmp_path, corpus)

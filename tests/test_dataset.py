@@ -236,6 +236,29 @@ def test_manifest_session_zero_rejected_before_any_file_is_read(tmp_path):
     assert str(err.value) == f"{manifest}:2: session must be at least 1"
 
 
+def test_duplicate_key_in_layout_rejected_before_any_file_is_parsed(tmp_path):
+    (tmp_path / "u0").mkdir()
+    (tmp_path / "u0" / "forgery_1_00.svc").write_text("not an svc file\n")
+    first = tmp_path / "u0" / "genuine_1_0.svc"
+    second = tmp_path / "u0" / "genuine_1_00.svc"
+    for path in (first, second):
+        path.write_text("2\n0 0 0 1\n1 1 10 1\n")
+    with pytest.raises(ProtocolError) as err:
+        load_dataset(tmp_path)
+    assert str(err.value) == (
+        f"{second}: duplicate record key 'u0/genuine_1_0', also from {first}")
+
+
+@pytest.mark.parametrize("again", ["a.svc\tu0\tgenuine\t1\t0", "b.svc\tu0\tgenuine\t1\t00"])
+def test_duplicate_key_in_manifest_rejected_before_any_file_is_read(tmp_path, again):
+    manifest = tmp_path / "index.tsv"
+    manifest.write_text(f"a.svc\tu0\tgenuine\t1\t0\na.svc\tu0\tgenuine\t1\t1\n{again}\n")
+    with pytest.raises(ProtocolError) as err:
+        load_dataset(tmp_path, manifest=manifest)
+    assert str(err.value) == (
+        f"{manifest}:3: duplicate record key 'u0/genuine_1_0', also from {manifest}:1")
+
+
 @pytest.mark.parametrize("name", ["genuine_\u0663_00.svc", "genuine_1_\u0660\u0660.svc",
                                   "genuine_\uff11_00.svc"])
 def test_non_ascii_digits_in_file_name_rejected(tmp_path, name):

@@ -1,7 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from sigver.features import (
+    EPS,
     FEATURE_NAMES,
     N_FEATURES,
     derivative,
@@ -9,7 +15,7 @@ from sigver.features import (
     write_feature_csv,
     zscore_columns,
 )
-from sigver.svc import DEFAULT_PRESSURE, SignatureRecord
+from sigver.svc import DEFAULT_PRESSURE, InvariantError, SignatureRecord
 
 COL = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
@@ -173,3 +179,217 @@ def test_feature_csv_round_trip(tmp_path, tiny_features):
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert back.shape == seq.values.shape
     assert np.allclose(back, seq.values, atol=1e-8)
+
+
+# Reference extractor: the column-by-column implementation that the
+# row-stage extractor replaced. extract_features must match it bit for bit.
+
+def column_derivative(signal):
+    s = np.asarray(signal, dtype=np.float64)
+    if s.ndim != 1:
+        raise ValueError("derivative expects a 1-d signal")
+    if s.shape[0] < 5:
+        raise ValueError("derivative needs at least 5 samples")
+    d = np.empty_like(s)
+    d[2:-2] = (s[3:-1] - s[1:-3] + 2.0 * (s[4:] - s[:-4])) / 10.0
+    d[:2] = d[2]
+    d[-2:] = d[-3]
+    return d
+
+
+def column_zscore(values):
+    mean = values.mean(axis=0)
+    std = values.std(axis=0)
+    varying = std > 1e-12 * np.maximum(1.0, np.abs(mean))
+    out = np.zeros_like(values)
+    out[:, varying] = (values[:, varying] - mean[varying]) / std[varying]
+    return out
+
+
+def column_length_width_ratio(x, y, size):
+    n = x.shape[0]
+    half = size // 2
+    seg = np.hypot(np.diff(x), np.diff(y))
+    cum = np.concatenate(([0.0], np.cumsum(seg)))
+    idx = np.arange(n)
+    lo = np.maximum(idx - half, 0)
+    hi = np.minimum(idx + half, n - 1)
+    length = cum[hi] - cum[lo]
+    width = maximum_filter1d(x, size=size, mode="nearest") - minimum_filter1d(
+        x, size=size, mode="nearest"
+    )
+    return length / (width + EPS)
+
+
+def column_extract(record, normalize=True, time_scaled=False, drop_pen_up=False):
+    keep = record.pen_down if drop_pen_up else slice(None)
+    x = record.x[keep].astype(np.float64)
+    y = record.y[keep].astype(np.float64)
+    p = record.pressure[keep].astype(np.float64)
+    timestamp = record.timestamp[keep]
+    n = x.shape[0]
+    if n < 7:
+        raise ValueError(f"{record.key}: sequence too short: {n} samples, need at least 7")
+    tscale = np.maximum(column_derivative(timestamp / 10.0), EPS) if time_scaled else 1.0
+
+    def deriv(signal):
+        d = column_derivative(signal)
+        return d / tscale if time_scaled else d
+
+    xd = deriv(x)
+    yd = deriv(y)
+    theta = np.arctan2(yd, xd)
+    theta_d = deriv(np.unwrap(theta))
+    v = np.hypot(xd, yd)
+    rho = np.log((v + EPS) / (np.abs(theta_d) + EPS))
+    vd = deriv(v)
+    a = np.hypot(vd, v * theta_d)
+    alpha_steps = np.arctan2(np.diff(y), np.diff(x))
+    alpha = np.append(alpha_steps, alpha_steps[-1])
+    alpha_d = deriv(np.unwrap(alpha))
+    v_ratio = minimum_filter1d(v, size=5, mode="nearest") / (
+        maximum_filter1d(v, size=5, mode="nearest") + EPS
+    )
+    cols = [
+        x, y, p, theta, v, rho, a,
+        xd, yd, deriv(p), theta_d, vd, deriv(rho), deriv(a),
+        deriv(xd), deriv(yd),
+        v_ratio, alpha, alpha_d, np.sin(alpha), np.cos(alpha),
+        column_length_width_ratio(x, y, 5),
+        column_length_width_ratio(x, y, 7),
+    ]
+    values = np.column_stack(cols)
+    if normalize:
+        values = column_zscore(values)
+    if not np.all(np.isfinite(values)):
+        raise InvariantError(f"{record.key}: non-finite feature values")
+    return values
+
+
+OPTIONS = list(itertools.product((False, True), repeat=3))  # normalize, time_scaled, drop
+
+
+def assert_matches_column_extractor(record):
+    for normalize, time_scaled, drop in OPTIONS:
+        try:
+            expected = column_extract(record, normalize, time_scaled, drop)
+        except Exception as exc:  # the same error, type and message, or none
+            with pytest.raises(Exception) as err:
+                extract_features(record, normalize, time_scaled, drop)
+            assert type(err.value) is type(exc)
+            assert str(err.value) == str(exc)
+            continue
+        got = extract_features(record, normalize, time_scaled, drop).values
+        assert got.shape == expected.shape
+        assert got.dtype == expected.dtype == np.float64
+        assert got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes(), (normalize, time_scaled, drop)
+
+
+INT64_EDGE = 2**63 - 2**20  # leaves room for 500 steps of up to 1000 units
+
+
+@st.composite
+def signature_records(draw):
+    n = draw(st.one_of(st.just(7), st.integers(7, 500)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.sampled_from([1, 30, 1000]))
+    x = np.cumsum(rng.integers(-step, step + 1, n))
+    y = np.cumsum(rng.integers(-step, step + 1, n))
+    constant = draw(st.sampled_from(["none", "x", "y", "both"]))
+    if constant in ("x", "both"):
+        x[:] = x[0]
+    if constant in ("y", "both"):
+        y[:] = y[0]
+    offset = draw(st.sampled_from([0, 0, INT64_EDGE, -INT64_EDGE]))
+    pressure_free = draw(st.booleans())
+    if pressure_free:
+        pressure = np.full(n, DEFAULT_PRESSURE)
+    else:
+        pressure = rng.integers(0, 1024, n)
+    # repeated timestamps exercise the EPS floor of time_scaled
+    spacing = draw(st.sampled_from(["uniform", "repeats", "irregular"]))
+    dt = {"uniform": np.full(n, 10), "repeats": rng.integers(0, 2, n) * 10,
+          "irregular": rng.integers(1, 40, n)}[spacing]
+    pen = draw(st.sampled_from(["down", "runs", "mostly_up"]))
+    if pen == "down":
+        pen_down = np.ones(n, dtype=bool)
+    elif pen == "runs":
+        pen_down = np.repeat(rng.random(n // 5 + 1) < 0.7, 5)[:n]
+    else:  # dropping pen-up samples leaves fewer than 7
+        pen_down = np.zeros(n, dtype=bool)
+        pen_down[rng.choice(n, size=min(n, draw(st.integers(0, 8))), replace=False)] = True
+    record = SignatureRecord(
+        x=x + offset, y=y - offset, pressure=pressure, timestamp=np.cumsum(dt),
+        pen_down=pen_down, user_id="h", pressure_free=pressure_free,
+    )
+    record.validate()
+    return record
+
+
+@settings(max_examples=300, deadline=None)
+@given(signature_records())
+def test_extractor_matches_column_extractor_bit_for_bit(record):
+    assert_matches_column_extractor(record)
+
+
+def test_extractor_matches_column_extractor_on_tiny_corpus(tiny_records):
+    for record in tiny_records:
+        assert_matches_column_extractor(record)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 23])
+@pytest.mark.parametrize("T", [5, 6, 7, 50, 301])
+def test_derivative_of_rows_equals_row_by_row(k, T):
+    rows = np.random.default_rng(k * 1000 + T).normal(0.0, 100.0, (k, T))
+    stacked = derivative(rows)
+    assert stacked.shape == (k, T)
+    for row, d in zip(rows, stacked):
+        assert d.tobytes() == derivative(row).tobytes() == column_derivative(row).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 0), (2, 3, 1)])
+def test_derivative_rejects_short_last_axis(shape):
+    with pytest.raises(ValueError, match="at least 5 samples"):
+        derivative(np.zeros(shape))
+
+
+def test_derivative_rejects_scalar():
+    with pytest.raises(ValueError, match="at least 1 dimension"):
+        derivative(np.float64(2.5))
+
+
+@pytest.mark.parametrize("T", [2, 7, 64, 333])
+def test_zscore_matches_mean_and_std_bit_for_bit(T):
+    rng = np.random.default_rng(T)
+    # every column varies: spreads of 1e-3 .. 1e9 around means up to 1e5
+    v = rng.normal(0.0, 1.0, (T, N_FEATURES)) * np.logspace(-3, 9, N_FEATURES)
+    v += np.linspace(-1e5, 1e5, N_FEATURES)
+    for block in (v, np.asfortranarray(v)):
+        assert np.all(block.std(axis=0) > 1e-12 * np.abs(block.mean(axis=0)))
+        expected = (block - block.mean(axis=0)) / block.std(axis=0)
+        assert zscore_columns(block).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_zscore_zeroes_constant_and_near_constant_columns():
+    rng = np.random.default_rng(8)
+    v = rng.normal(0.0, 1.0, (50, 4))
+    v[:, 1] = -3.25
+    v[:, 2] = 1e12 + rng.normal(0.0, 1e-3, 50)  # a few ulps: spread << 1e-12 of the mean
+    assert 0.0 < v[:, 2].std() < 1.0
+    out = zscore_columns(v)
+    assert out[:, 1:3].tobytes() == np.zeros((50, 2)).tobytes()
+    with np.errstate(invalid="ignore"):  # 0 / 0 in the constant column
+        expected = (v - v.mean(axis=0)) / v.std(axis=0)
+    assert out[:, [0, 3]].tobytes() == expected[:, [0, 3]].tobytes()
+
+
+def test_zscore_returns_fresh_c_order_float64():
+    v = np.random.default_rng(9).normal(0.0, 1.0, (40, N_FEATURES))
+    for block in (v, np.asfortranarray(v), v[::2]):
+        before = block.copy()
+        out = zscore_columns(block)
+        assert out.dtype == np.float64
+        assert out.flags.c_contiguous and out.flags.owndata
+        assert not np.shares_memory(out, block)
+        assert np.array_equal(block, before)
