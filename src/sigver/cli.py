@@ -246,6 +246,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError("--sffs applies to the --baseline scorer")
     if args.sffs and args.sffs_k < 1:
         raise UsageError("--sffs-k must be at least 1")
+    if args.det_points < 2:
+        raise UsageError("--det-points must be at least 2")
     split = _split_from_args(args)
     pairs = build_pairs(split, EVALUATION)
     n_genuine = sum(p.label for p in pairs)

@@ -200,9 +200,12 @@ def sffs_select(
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     pairs = build_pairs(dev_split, DEVELOPMENT)
-    if not any(p.label == 1 for p in pairs) or not any(p.label == 0 for p in pairs):
+    if {p.label for p in pairs} != {0, 1}:
         raise ValueError("development set must contain both classes")
     pairs = _complete_probe_subsample(pairs, max_pairs)
+    if {p.label for p in pairs} != {0, 1}:
+        raise ValueError(f"max_pairs={max_pairs} keeps development pairs of one "
+                         "class only; the search needs both")
 
     def eer_of(cols: tuple) -> float:
         cfg = DtwConfig(selected_columns=tuple(sorted(cols)), band=band)

@@ -192,8 +192,8 @@ def lstm_forward_batch(
     out_s = np.empty((n_steps, n_batch, h_size))
     kept = n_steps if keep_cache else 1  # without a cache, step t reuses slot 0
     gates = np.empty((kept, n_batch, 4 * h_size))
-    c_prev = np.empty((kept, n_batch, h_size))
-    c_tanh = np.empty_like(c_prev)
+    c_prev = np.empty((n_steps, n_batch, h_size)) if keep_cache else None
+    c_tanh = np.empty((kept, n_batch, h_size))
     pre = np.empty((n_batch, 4 * h_size))
     rec = np.empty_like(pre)
 
@@ -210,7 +210,8 @@ def lstm_forward_batch(
         expit(p[:, : 3 * h_size], out=gt[:, : 3 * h_size])
         np.tanh(p[:, 3 * h_size :], out=gt[:, 3 * h_size :])
         f, i, o, g = (gt[:, k * h_size : (k + 1) * h_size] for k in range(4))
-        c_prev[slot, :a] = C[:a]
+        if keep_cache:  # only the backward pass reads the previous cell state
+            c_prev[t, :a] = C[:a]
         C[:a] = f * C[:a] + i * g
         np.multiply(o, np.tanh(C[:a], out=c_tanh[slot, :a]), out=h[:a])
         out_s[t] = h

@@ -13,7 +13,8 @@ branch, _merge_and_head the merge LSTM and the readout. A training batch
 of n pairs encodes 2n branch rows: the n first signatures, then the n
 second ones. A branch row does not depend on the pair it is in, so
 scoring encodes each distinct signature once per window of consecutive
-pair batches (see score_pairs). Merge row r reads branch rows
+pair batches (see _windows). Windows share no data, so score_pairs can
+score them in forked worker processes. Merge row r reads branch rows
 ``left[r]`` and ``right[r]``: rows 0..n-1 read pair r as (a, b) and,
 when symmetric, rows n..2n-1 read it as (b, a). The concat mode only
 chooses which steps the merge reads: all of them (per_step) or the last
@@ -26,6 +27,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing
+import os
+import threading
 import time
 import zipfile
 from dataclasses import asdict, dataclass
@@ -252,43 +256,115 @@ def _backward_pairs(model: SiameseModel, context: dict, branch_cache: dict,
                                     DenseParams(dhead_w, dhead_b), model.config))
 
 
+def _windows(seq_a: list, seq_b: list, batch_size: int) -> list[tuple[list, list]]:
+    """Group consecutive ``batch_size``-pair slices into windows.
+
+    A slice joins the current window while the window's distinct
+    sequences, with the slice's new ones, fit in ``2 * batch_size`` branch
+    rows. A window is (its distinct sequences, one row array per slice);
+    a slice of n pairs reads rows ``r[:n]`` as a and ``r[n:]`` as b. A
+    sequence is known by the identity of its ``values`` (or of itself).
+    """
+    n = len(seq_a)
+    windows = []
+    lo = 0
+    while lo < n:
+        window: dict[int, object] = {}  # id of a sequence's values -> values
+        keys = []
+        while lo < n:
+            hi = min(lo + batch_size, n)
+            objs = [getattr(s, "values", s) for s in [*seq_a[lo:hi], *seq_b[lo:hi]]]
+            new = {id(o): o for o in objs if id(o) not in window}
+            if keys and len(window) + len(new) > 2 * batch_size:
+                break
+            window.update(new)
+            keys.append([id(o) for o in objs])
+            lo = hi
+        row = {key: r for r, key in enumerate(window)}
+        windows.append((list(window.values()),
+                        [np.array([row[k] for k in slice_keys]) for slice_keys in keys]))
+    return windows
+
+
+def _score_window(model: SiameseModel, seqs: list, slice_rows: list) -> np.ndarray:
+    """Scores of one window's pairs: encode its sequences once, then run the
+    merge and head on each slice."""
+    branch_out, lengths, _ = _encode(  # a one-row GEMM rounds differently
+        model, seqs * 2 if len(seqs) == 1 else seqs, keep_cache=False)
+    return np.concatenate([
+        _merge_and_head(model, branch_out, lengths, rows[: rows.size // 2],
+                        rows[rows.size // 2 :], keep_cache=False)[0]
+        for rows in slice_rows])
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_worker_job = None  # (model, windows) of a pool worker, set when it starts
+
+
+def _start_worker(model: SiameseModel, windows: list) -> None:
+    global _worker_job
+    _worker_job = (model, windows)
+
+
+def _score_window_at(index: int) -> np.ndarray:
+    model, windows = _worker_job
+    return _score_window(model, *windows[index])
+
+
+def _map_windows(model: SiameseModel, windows: list) -> list[np.ndarray]:
+    """``_score_window`` over the windows, in a forked pool when it can help.
+
+    The workers inherit the model and sequences through fork; only window
+    indices go out and score arrays come back. (A spawned worker would
+    import numpy afresh and be sent every sequence, on every call.) Each
+    window runs the same BLAS calls on the same arrays as in-process, so
+    the bits are the same. The windows stay in-process in a daemonic
+    process, such as a pool worker, which may not start children, and
+    while other threads run: a lock one of them holds at the fork would
+    stay locked in the worker.
+    """
+    workers = min(len(windows), _usable_cpus())
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return [_score_window(model, *w) for w in windows]
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, _start_worker, (model, windows))
+    try:
+        results = pool.map(_score_window_at, range(len(windows)), chunksize=1)
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    return results
+
+
 def score_pairs(model: SiameseModel, seq_a: list, seq_b: list,
                 batch_size: int = 64) -> np.ndarray:
     """Scores for aligned lists of sequences, batched for throughput.
 
-    The merge runs on consecutive ``batch_size``-pair slices. Consecutive
-    slices share a window while their distinct sequences fit in
-    ``2 * batch_size`` branch rows; the branch encodes each once per window.
-    A sequence is known by the identity of its ``values`` (or of itself).
+    The merge runs on consecutive ``batch_size``-pair slices, and the
+    branch encodes each distinct sequence once per window of slices (see
+    _windows). Windows share no data, so with more than one window and
+    more than one usable CPU they are scored in forked worker processes,
+    which are gone when this returns or raises; the scores are the same
+    bits either way.
     """
     if len(seq_a) != len(seq_b):
         raise ValueError("sequence lists must have equal length")
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-    n = len(seq_a)
-    out = np.empty(n)
-    lo = 0
-    while lo < n:
-        window: dict[int, object] = {}  # id of a sequence's values -> values
-        slices = []
-        while lo < n:
-            hi = min(lo + batch_size, n)
-            objs = [getattr(s, "values", s) for s in [*seq_a[lo:hi], *seq_b[lo:hi]]]
-            new = {id(o): o for o in objs if id(o) not in window}
-            if slices and len(window) + len(new) > 2 * batch_size:
-                break
-            window.update(new)
-            slices.append((lo, hi, [id(o) for o in objs]))
-            lo = hi
-        seqs = list(window.values())
-        row = {key: r for r, key in enumerate(window)}
-        branch_out, lengths, _ = _encode(  # a one-row GEMM rounds differently
-            model, seqs * 2 if len(seqs) == 1 else seqs, keep_cache=False)
-        for a, b, keys in slices:
-            rows = np.array([row[k] for k in keys])
-            out[a:b] = _merge_and_head(model, branch_out, lengths, rows[: b - a],
-                                       rows[b - a :], keep_cache=False)[0]
-    return out
+    windows = _windows(seq_a, seq_b, batch_size)
+    return (np.concatenate(_map_windows(model, windows)) if windows
+            else np.empty(0))
 
 
 def pair_loss(score: float, label: int) -> float:

@@ -405,12 +405,29 @@ def sffs_k_zero(tmp, corpus):
              "--out", tmp], 2, "usage error: --sffs-k must be at least 1")
 
 
+def sffs_pairs_one_class(tmp, corpus):
+    return (["evaluate", "--data", corpus, "--baseline", "--sffs", "--sffs-k", 1,
+             "--sffs-pairs", 1, "--out", tmp], 1,
+            "error: max_pairs=1 keeps development pairs of one class only")
+
+
+def det_points_zero(tmp, corpus):
+    return (["evaluate", "--data", corpus, "--baseline", "--det-points", 0,
+             "--out", tmp], 2, "usage error: --det-points must be at least 2")
+
+
+def det_points_negative(tmp, corpus):
+    return (["evaluate", "--data", corpus, "--baseline", "--det-points", -5,
+             "--out", tmp], 2, "usage error: --det-points must be at least 2")
+
+
 @pytest.mark.parametrize("case", [
     results_without_system, config_bad_columns, config_bad_users,
     config_misspelt_flag, config_bad_choice, corpus_bad_session, corpus_bad_token,
     corpus_int64_overflow, manifest_bad_session, corpus_session_zero, manifest_session_zero,
     corpus_non_ascii_session, manifest_non_ascii_session, corpus_too_short,
-    corpus_duplicate_key, sffs_k_zero,
+    corpus_duplicate_key, sffs_k_zero, sffs_pairs_one_class, det_points_zero,
+    det_points_negative,
 ], ids=lambda case: case.__name__)
 def test_bad_input_is_one_line_error(case, corpus, tmp_path, capsys):
     argv, code, message = case(tmp_path, corpus)

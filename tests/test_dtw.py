@@ -315,6 +315,16 @@ def test_sffs_rejects_single_class_dev_set():
         sffs_select(split, features)
 
 
+@pytest.mark.parametrize("max_pairs", [1, 0])
+def test_sffs_rejects_budget_that_thins_to_one_class(max_pairs):
+    split, features = informative_corpus()
+    thinned = _complete_probe_subsample(build_pairs(split, DEVELOPMENT), max_pairs)
+    assert len({p.label for p in thinned}) == 1
+    with pytest.raises(ValueError, match=f"max_pairs={max_pairs} keeps development "
+                                         "pairs of one class only"):
+        sffs_select(split, features, k_max=1, max_pairs=max_pairs)
+
+
 def test_subsampling_keeps_probe_groups_whole():
     split, _ = informative_corpus()
     pairs = build_pairs(split, DEVELOPMENT)

@@ -2,6 +2,11 @@ import dataclasses
 import itertools
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import zipfile
 from pathlib import Path
 
@@ -187,6 +192,122 @@ def test_feature_column_mismatch_rejected(rng):
     model = tiny_model(rng)
     with pytest.raises(ValueError, match="feature columns"):
         score_pairs(model, [random_seq(rng, 5, n_features=4)], [random_seq(rng, 5)])
+
+
+def three_window_pairs(gen, width=23):
+    """212 pairs in three windows: 128 distinct signatures, then one
+    signature alone (64 pairs of it with itself), then 128 new ones and a
+    final partial slice of 20 pairs that reuses them."""
+    fresh = [random_seq(gen, int(gen.integers(7, 40)), width) for _ in range(256)]
+    alone = random_seq(gen, 25, width)
+    seq_a = fresh[:64] + [alone] * 64 + fresh[128:192] + fresh[150:170]
+    seq_b = fresh[64:128] + [alone] * 64 + fresh[192:256] + fresh[200:220]
+    return seq_a, seq_b
+
+
+def test_three_window_pairs_layout():
+    seq_a, seq_b = three_window_pairs(np.random.default_rng(0))
+    windows = siamese._windows(seq_a, seq_b, 64)
+    assert [len(seqs) for seqs, _ in windows] == [128, 1, 128]
+    assert [[rows.size // 2 for rows in slices] for _, slices in windows] \
+        == [[64], [64], [64, 20]]
+
+
+def in_process(monkeypatch):
+    monkeypatch.setattr(siamese, "_usable_cpus", lambda: 1)
+
+
+def pooled(monkeypatch) -> list:
+    """Let score_pairs use two workers and record the contexts it asks for."""
+    asked = []
+    get_context = multiprocessing.get_context
+
+    def spy(method=None):
+        asked.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(siamese, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return asked
+
+
+@pytest.mark.parametrize("branch,merge,stride", [(16, 8, 3), (46, 23, 1)],
+                         ids=["cli", "library"])
+def test_pool_scores_equal_in_process_scores(branch, merge, stride, monkeypatch):
+    cfg = ModelConfig(n_features=23, branch_hidden=branch, merge_hidden=merge,
+                      time_stride=stride)
+    gen = np.random.default_rng(11)
+    model = init_model(cfg, gen)
+    seq_a, seq_b = three_window_pairs(gen)
+    in_process(monkeypatch)
+    expected = score_pairs(model, seq_a, seq_b)
+    asked = pooled(monkeypatch)
+    assert score_pairs(model, seq_a, seq_b).tobytes() == expected.tobytes()
+    assert asked == ["fork"]
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_error_is_the_in_process_error(monkeypatch):
+    gen = np.random.default_rng(5)
+    model = init_model(ModelConfig(n_features=23, branch_hidden=16, merge_hidden=8), gen)
+    seq_a, seq_b = three_window_pairs(gen)
+    seq_b[-1] = random_seq(gen, 9, 22)
+    in_process(monkeypatch)
+    with pytest.raises(ValueError) as local:
+        score_pairs(model, seq_a, seq_b)
+    asked = pooled(monkeypatch)
+    with pytest.raises(ValueError) as remote:
+        score_pairs(model, seq_a, seq_b)
+    assert asked == ["fork"]
+    assert str(remote.value) == str(local.value) == "expected 23 feature columns, got 22"
+    assert multiprocessing.active_children() == []
+
+
+def test_one_window_or_other_threads_start_no_process(rng, monkeypatch):
+    model = tiny_model(rng)
+
+    def no_pool(method=None):
+        raise AssertionError("a pool was asked for")
+
+    monkeypatch.setattr(siamese, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    enroll = [random_seq(rng, int(rng.integers(5, 9))) for _ in range(4)]
+    probe = random_seq(rng, 7)
+    assert score_pairs(model, enroll, [probe] * 4).shape == (4,)
+    seq_a, seq_b = three_window_pairs(rng, width=3)
+    with pytest.raises(AssertionError, match="a pool was asked for"):
+        score_pairs(model, seq_a, seq_b)
+    # nor while another thread runs, which a fork would not copy
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert score_pairs(model, seq_a, seq_b).shape == (212,)
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive()
+
+
+def test_scoring_while_a_module_imports_finishes(tmp_path):
+    """A pool started from a module that is still being imported must not
+    wait on that module: the worker function lives in sigver.siamese."""
+    (tmp_path / "scored_at_import.py").write_text(
+        "import numpy as np\n"
+        "from sigver import siamese\n"
+        "siamese._usable_cpus = lambda: 2\n"
+        "cfg = siamese.ModelConfig(n_features=3, branch_hidden=4, merge_hidden=3)\n"
+        "model = siamese.init_model(cfg, np.random.default_rng(0))\n"
+        "gen = np.random.default_rng(1)\n"
+        "seqs = [gen.normal(size=(int(gen.integers(5, 9)), 3)) for _ in range(400)]\n"
+        "SCORES = siamese.score_pairs(model, seqs[:200], seqs[200:])\n")
+    src = Path(siamese.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tmp_path)])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import scored_at_import as m; print(m.SCORES.size)"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "200\n"
 
 
 def test_pair_loss_values():
