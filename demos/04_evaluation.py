@@ -17,7 +17,6 @@ from sigver.dataset import DEVELOPMENT, EVALUATION, build_pairs, build_split
 from sigver.dtw import DtwConfig, score_pairs_dtw
 from sigver.features import extract_features
 from sigver.metrics import (
-    Protocol,
     aggregate_4vs1,
     compute_eer,
     det_curve,
@@ -64,7 +63,7 @@ systems = {
 
 curves = []
 for system, scores in systems.items():
-    one = make_score_set(eval_pairs, scores, Protocol.ONE_VS_ONE, system)
+    one = make_score_set(eval_pairs, scores, system)
     four = aggregate_4vs1(eval_pairs, scores, system)
     for scoreset in (one, four):
         eer, threshold = compute_eer(scoreset)

@@ -2,7 +2,9 @@
 
 Every subcommand accepts ``--config FILE`` with ``key = value`` lines
 (keys are the long option names with dashes or underscores); explicit
-flags override file values. All randomness flows from ``--seed``.
+flags override file values. ``generate`` and ``train``, the two
+commands that draw random numbers, take ``--seed``; all their randomness
+flows from it.
 Exit status is 0 only when every requested output was written.
 """
 from __future__ import annotations
@@ -22,11 +24,11 @@ from .dataset import (
     build_pairs,
     build_split,
     load_dataset,
+    record_filename,
 )
 from .dtw import ALL_COLUMNS, DtwConfig, score_pairs_dtw, sffs_select, write_sffs_report
 from .features import extract_features, write_feature_csv
 from .metrics import (
-    Protocol,
     aggregate_4vs1,
     compute_eer,
     det_curve,
@@ -125,7 +127,7 @@ def _load_features(records) -> dict:
 
 
 def _split_from_args(args: argparse.Namespace):
-    records = load_dataset(args.data, manifest=getattr(args, "manifest", None))
+    records = load_dataset(args.data, manifest=args.manifest)
     users = sorted({r.user_id for r in records})
     n_dev = args.dev_users
     if n_dev is None:
@@ -169,7 +171,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         )
         user_dir = out / record.user_id
         user_dir.mkdir(exist_ok=True)
-        name = f"{record.kind.value}_{record.session}_{record.sample_index:02d}.csv"
+        name = Path(record_filename(record)).with_suffix(".csv")
         write_feature_csv(seq, user_dir / name)
         n += 1
     print(f"wrote {n} feature files under {out}")
@@ -267,7 +269,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     curves = []
 
     def add_system(system: str, scores: np.ndarray) -> None:
-        one = make_score_set(pairs, scores, Protocol.ONE_VS_ONE, system)
+        one = make_score_set(pairs, scores, system)
         four = aggregate_4vs1(pairs, scores, system)
         for scoreset in (one, four):
             row = evaluation_row(scoreset)
@@ -344,11 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key = value defaults file; flags win")
+
+    def add_seed(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=20240816,
                        help="seed for every stochastic component")
 
     g = sub.add_parser("generate", help="write a synthetic SVC corpus")
     common(g)
+    add_seed(g)
     g.add_argument("--users", type=int, default=40)
     g.add_argument("--sessions", type=int, default=4)
     g.add_argument("--genuine-per-session", type=int, default=4)
@@ -374,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train the verifier on development users")
     common(t)
+    add_seed(t)
     t.add_argument("--data", required=True)
     t.add_argument("--manifest", default=None)
     t.add_argument("--dev-users", type=int, default=None,

@@ -111,10 +111,10 @@ def det_curve(scores: ScoreSet, n_points: int | None = None) -> np.ndarray:
 def make_score_set(
     pairs: list,
     scores: np.ndarray,
-    protocol: Protocol = Protocol.ONE_VS_ONE,
     system: str = "",
 ) -> ScoreSet:
-    """Split aligned pair scores into genuine/impostor lists by label."""
+    """The 1vs1 score set: aligned pair scores split by label into
+    genuine and impostor lists. aggregate_4vs1 makes the 4vs1 set."""
     scores = np.asarray(scores, dtype=np.float64)
     if len(pairs) != scores.size:
         raise ValueError("pairs and scores must align")
@@ -122,7 +122,6 @@ def make_score_set(
     return ScoreSet(
         genuine=scores[labels == 1],
         impostor=scores[labels == 0],
-        protocol=protocol,
         system=system,
     )
 

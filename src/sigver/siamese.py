@@ -51,6 +51,9 @@ from .lstm import (
 
 MODEL_FORMAT = "sigver-model-v1"
 SCORE_CLAMP = 1e-12
+# pairs per merge batch when scoring; it decides which pairs and which
+# signatures share a GEMM, and so the bits of every score
+SCORE_BATCH = 64
 
 
 class ModelFormatError(ValueError):
@@ -78,9 +81,15 @@ class ModelConfig:
             raise ValueError(f"unknown concat mode {self.concat!r}")
         if self.readout not in ("last", "mean"):
             raise ValueError(f"unknown readout mode {self.readout!r}")
+        if not isinstance(self.symmetric, bool):
+            raise ValueError(f"symmetric must be true or false, got {self.symmetric!r}")
+        for name in ("n_features", "branch_hidden", "merge_hidden", "time_stride"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.n_features, self.branch_hidden, self.merge_hidden) < 1:
             raise ValueError("sizes must be positive")
-        if int(self.time_stride) != self.time_stride or self.time_stride < 1:
+        if self.time_stride < 1:
             raise ValueError("time_stride must be a positive integer")
 
 
@@ -97,10 +106,16 @@ class SiameseModel:
         self.merge.validate()
         if self.branch.input_size != self.config.n_features:
             raise ValueError("branch input size != feature count")
+        if self.branch.hidden_size != self.config.branch_hidden:
+            raise ValueError("branch hidden size != config branch_hidden")
+        if self.merge.hidden_size != self.config.merge_hidden:
+            raise ValueError("merge hidden size != config merge_hidden")
         if self.merge.input_size != 2 * self.branch.hidden_size:
             raise ValueError("merge input size != 2 x branch hidden size")
         if self.head.w.shape != (self.merge.hidden_size,):
             raise ValueError("head input size != merge hidden size")
+        if not (np.all(np.isfinite(self.head.w)) and np.isfinite(self.head.b)):
+            raise ValueError("head has non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -256,11 +271,11 @@ def _backward_pairs(model: SiameseModel, context: dict, branch_cache: dict,
                                     DenseParams(dhead_w, dhead_b), model.config))
 
 
-def _windows(seq_a: list, seq_b: list, batch_size: int) -> list[tuple[list, list]]:
-    """Group consecutive ``batch_size``-pair slices into windows.
+def _windows(seq_a: list, seq_b: list) -> list[tuple[list, list]]:
+    """Group consecutive ``SCORE_BATCH``-pair slices into windows.
 
     A slice joins the current window while the window's distinct
-    sequences, with the slice's new ones, fit in ``2 * batch_size`` branch
+    sequences, with the slice's new ones, fit in ``2 * SCORE_BATCH`` branch
     rows. A window is (its distinct sequences, one row array per slice);
     a slice of n pairs reads rows ``r[:n]`` as a and ``r[n:]`` as b. A
     sequence is known by the identity of its ``values`` (or of itself).
@@ -272,10 +287,10 @@ def _windows(seq_a: list, seq_b: list, batch_size: int) -> list[tuple[list, list
         window: dict[int, object] = {}  # id of a sequence's values -> values
         keys = []
         while lo < n:
-            hi = min(lo + batch_size, n)
+            hi = min(lo + SCORE_BATCH, n)
             objs = [getattr(s, "values", s) for s in [*seq_a[lo:hi], *seq_b[lo:hi]]]
             new = {id(o): o for o in objs if id(o) not in window}
-            if keys and len(window) + len(new) > 2 * batch_size:
+            if keys and len(window) + len(new) > 2 * SCORE_BATCH:
                 break
             window.update(new)
             keys.append([id(o) for o in objs])
@@ -347,11 +362,10 @@ def _map_windows(model: SiameseModel, windows: list) -> list[np.ndarray]:
     return results
 
 
-def score_pairs(model: SiameseModel, seq_a: list, seq_b: list,
-                batch_size: int = 64) -> np.ndarray:
+def score_pairs(model: SiameseModel, seq_a: list, seq_b: list) -> np.ndarray:
     """Scores for aligned lists of sequences, batched for throughput.
 
-    The merge runs on consecutive ``batch_size``-pair slices, and the
+    The merge runs on consecutive ``SCORE_BATCH``-pair slices, and the
     branch encodes each distinct sequence once per window of slices (see
     _windows). Windows share no data, so with more than one window and
     more than one usable CPU they are scored in forked worker processes,
@@ -360,9 +374,7 @@ def score_pairs(model: SiameseModel, seq_a: list, seq_b: list,
     """
     if len(seq_a) != len(seq_b):
         raise ValueError("sequence lists must have equal length")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-    windows = _windows(seq_a, seq_b, batch_size)
+    windows = _windows(seq_a, seq_b)
     return (np.concatenate(_map_windows(model, windows)) if windows
             else np.empty(0))
 
@@ -540,12 +552,14 @@ def load_model(path) -> SiameseModel:
             if "format" not in data or str(data["format"]) != MODEL_FORMAT:
                 raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")
             config = ModelConfig(**json.loads(str(data["config"])))
+            head_b = data["head_b"]
+            if head_b.shape != (1,):
+                raise ModelFormatError(
+                    f"{path}: head_b has shape {head_b.shape}, expected (1,)")
             model = SiameseModel(
                 branch=join_gates(data, "branch_"),
                 merge=join_gates(data, "merge_"),
-                head=DenseParams(
-                    w=np.array(data["head_w"]), b=float(data["head_b"][0])
-                ),
+                head=DenseParams(w=np.array(data["head_w"]), b=float(head_b[0])),
                 config=config,
             )
         model.validate()

@@ -1,10 +1,13 @@
 """End-to-end command-line checks, run in process through cli.main."""
 
+import argparse
 import csv
+import json
 import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sigver import cli
@@ -112,6 +115,61 @@ class TestConfigFile:
         cfg.write_text("users = 2\njust words\n")
         assert run("generate", "--config", cfg, "--out", tmp_path / "c") == 2
         assert f"{cfg}:2: expected 'key = value'" in capsys.readouterr().err
+
+
+def test_option_surface_is_pinned():
+    """Every option of every subcommand; adding one means editing this."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {name: {a.dest for a in p._actions} - {"help"}
+               for name, p in sub.choices.items()}
+    assert surface == {
+        "generate": {"config", "seed", "users", "sessions", "genuine_per_session",
+                     "forgeries", "noise", "jitter", "min_duration", "max_duration",
+                     "out"},
+        "extract": {"config", "data", "manifest", "raw", "time_scaled", "drop_pen_up",
+                    "out"},
+        "train": {"config", "seed", "data", "manifest", "dev_users", "iterations",
+                  "batch_size", "learning_rate", "branch_hidden", "merge_hidden",
+                  "time_stride", "optimizer", "patience", "clip_norm",
+                  "stop_below_cost", "dev_eval", "out"},
+        "evaluate": {"config", "data", "manifest", "dev_users", "model", "baseline",
+                     "sffs", "sffs_k", "sffs_pairs", "columns", "band", "det_points",
+                     "out"},
+        "report": {"config", "results", "out"},
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--data", "d", "--out", "o"],
+    ["evaluate", "--data", "d", "--baseline", "--out", "o"],
+    ["report", "results.csv"],
+], ids=lambda argv: argv[0])
+def test_seed_is_a_usage_error_where_nothing_is_random(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--seed", 5)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --seed 5" in err
+    assert "Traceback" not in err
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 5\n")
+    assert run(argv[0], "--config", cfg, *argv[1:]) == 2
+    assert capsys.readouterr().err == f"usage error: {cfg}: unknown option 'seed'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--out", "o"],
+    ["train", "--data", "d", "--out", "o"],
+], ids=lambda argv: argv[0])
+def test_generate_and_train_take_seed(argv, tmp_path):
+    parser = cli.build_parser()
+    assert parser.parse_args([*argv, "--seed", "5"]).seed == 5
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 6\n")
+    argv = [argv[0], "--config", str(cfg), *argv[1:]]
+    cli._apply_config_file(parser, argv)
+    assert parser.parse_args(argv).seed == 6
 
 
 class TestExtract:
@@ -421,13 +479,37 @@ def det_points_negative(tmp, corpus):
              "--out", tmp], 2, "usage error: --det-points must be at least 2")
 
 
+def bench_model_with(tmp, config=None, **members):
+    """The benchmark's frozen model file with config keys or members replaced."""
+    frozen = Path(__file__).resolve().parents[1] / "bench" / "model.npz"
+    with np.load(frozen) as data:
+        entries = {name: data[name] for name in data.files}
+    if config:
+        entries["config"] = json.dumps({**json.loads(str(entries["config"])), **config})
+    path = tmp / "bad_model.npz"
+    np.savez(path, **{**entries, **members})
+    return path
+
+
+def model_float_stride(tmp, corpus):
+    path = bench_model_with(tmp, config={"time_stride": 3.0})
+    return (["evaluate", "--data", corpus, "--model", path, "--out", tmp], 1,
+            f"error: {path}: cannot read model file (time_stride must be an integer")
+
+
+def model_empty_head_b(tmp, corpus):
+    path = bench_model_with(tmp, head_b=np.empty(0))
+    return (["evaluate", "--data", corpus, "--model", path, "--out", tmp], 1,
+            f"error: {path}: head_b has shape (0,), expected (1,)")
+
+
 @pytest.mark.parametrize("case", [
     results_without_system, config_bad_columns, config_bad_users,
     config_misspelt_flag, config_bad_choice, corpus_bad_session, corpus_bad_token,
     corpus_int64_overflow, manifest_bad_session, corpus_session_zero, manifest_session_zero,
     corpus_non_ascii_session, manifest_non_ascii_session, corpus_too_short,
     corpus_duplicate_key, sffs_k_zero, sffs_pairs_one_class, det_points_zero,
-    det_points_negative,
+    det_points_negative, model_float_stride, model_empty_head_b,
 ], ids=lambda case: case.__name__)
 def test_bad_input_is_one_line_error(case, corpus, tmp_path, capsys):
     argv, code, message = case(tmp_path, corpus)

@@ -207,7 +207,8 @@ def test_aggregate_rejects_gaps_and_duplicates():
 def test_make_score_set():
     pairs = [pair("u", 0, 0, 1), pair("u", 0, 1, 0), pair("u", 0, 2, 1)]
     scores = np.array([0.9, 0.2, 0.8])
-    out = make_score_set(pairs, scores, Protocol.ONE_VS_ONE, system="proposed")
+    out = make_score_set(pairs, scores, system="proposed")
+    assert out.protocol is Protocol.ONE_VS_ONE
     assert out.genuine.tolist() == [0.9, 0.8]
     assert out.impostor.tolist() == [0.2]
     assert out.system == "proposed"

@@ -117,10 +117,12 @@ def test_scores_are_probabilities(rng):
 
 
 def test_score_pairs_matches_individual_scoring(rng):
+    # 70 pairs: one full SCORE_BATCH slice and a partial one
     model = tiny_model(rng)
-    seqs_a = [random_seq(rng, int(rng.integers(4, 12))) for _ in range(7)]
-    seqs_b = [random_seq(rng, int(rng.integers(4, 12))) for _ in range(7)]
-    batched = score_pairs(model, seqs_a, seqs_b, batch_size=3)
+    seqs_a = [random_seq(rng, int(rng.integers(4, 12))) for _ in range(70)]
+    seqs_b = [random_seq(rng, int(rng.integers(4, 12))) for _ in range(70)]
+    assert siamese.SCORE_BATCH < 70
+    batched = score_pairs(model, seqs_a, seqs_b)
     single = [score_pairs(model, [a], [b])[0] for a, b in zip(seqs_a, seqs_b)]
     assert np.allclose(batched, single, atol=1e-12)
     with pytest.raises(ValueError, match="equal length"):
@@ -180,14 +182,6 @@ def test_score_pairs_encodes_each_signature_once(rng, monkeypatch):
     assert branch_rows == [2]  # a one-row GEMM rounds differently
 
 
-def test_score_pairs_rejects_bad_batch_size(rng):
-    model = tiny_model(rng)
-    seqs = [random_seq(rng, 5)]
-    for size in (0, -1):
-        with pytest.raises(ValueError, match="batch_size"):
-            score_pairs(model, seqs, seqs, batch_size=size)
-
-
 def test_feature_column_mismatch_rejected(rng):
     model = tiny_model(rng)
     with pytest.raises(ValueError, match="feature columns"):
@@ -207,7 +201,7 @@ def three_window_pairs(gen, width=23):
 
 def test_three_window_pairs_layout():
     seq_a, seq_b = three_window_pairs(np.random.default_rng(0))
-    windows = siamese._windows(seq_a, seq_b, 64)
+    windows = siamese._windows(seq_a, seq_b)
     assert [len(seqs) for seqs, _ in windows] == [128, 1, 128]
     assert [[rows.size // 2 for rows in slices] for _, slices in windows] \
         == [[64], [64], [64, 20]]
@@ -504,8 +498,27 @@ def test_load_rejects_bad_files(tmp_path, rng):
     nan_bias = dict(entries, branch_b_o=entries["branch_b_o"].copy())
     nan_bias["branch_b_o"][0] = np.nan
     short_head = dict(entries, head_w=entries["head_w"][:5])
-    for name, bad, why in [("nan_bias", nan_bias, "non-finite"),
-                           ("short_head", short_head, "head input size")]:
+    nan_head_w = dict(entries, head_w=entries["head_w"].copy())
+    nan_head_w["head_w"][3] = np.nan
+    config = json.loads(str(entries["config"]))
+
+    def with_config(**changes):
+        return dict(entries, config=json.dumps({**config, **changes}))
+
+    cases = [
+        ("nan_bias", nan_bias, "non-finite"),
+        ("short_head", short_head, "head input size"),
+        ("nan_head_w", nan_head_w, "head has non-finite"),
+        ("nan_head_b", dict(entries, head_b=np.array([np.nan])), "head has non-finite"),
+        ("empty_head_b", dict(entries, head_b=np.empty(0)), r"head_b has shape \(0,\)"),
+        ("float_stride", with_config(time_stride=3.0), "time_stride must be an integer"),
+        ("float_features", with_config(n_features=23.0), "n_features must be an integer"),
+        ("bool_stride", with_config(time_stride=True), "time_stride must be an integer"),
+        ("word_symmetric", with_config(symmetric="no"), "symmetric must be true or false"),
+        ("wide_branch", with_config(branch_hidden=46), "branch hidden size"),
+        ("wide_merge", with_config(merge_hidden=23), "merge hidden size"),
+    ]
+    for name, bad, why in cases:
         path = tmp_path / f"{name}.npz"
         np.savez(path, **bad)
         with pytest.raises(ModelFormatError, match=f"{name}.npz.*{why}"):
