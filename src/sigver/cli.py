@@ -246,6 +246,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError("evaluate needs --model and/or --baseline")
     if args.sffs and not args.baseline:
         raise UsageError("--sffs applies to the --baseline scorer")
+    if args.sffs and args.columns is not None:
+        raise UsageError("--columns and --sffs exclude each other")
     if args.sffs and args.sffs_k < 1:
         raise UsageError("--sffs-k must be at least 1")
     if args.det_points < 2:
@@ -289,7 +291,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         add_system("proposed", scores)
 
     if args.baseline:
-        columns = args.columns
+        columns = args.columns or ALL_COLUMNS
         if args.sffs:
             dev_features = _load_features(split.records(DEVELOPMENT))
             columns, steps = sffs_select(
@@ -299,7 +301,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             write_sffs_report(out / "sffs_report.txt", steps, columns)
             print(f"selected columns: {','.join(str(c) for c in columns)}")
         cfg = DtwConfig(selected_columns=columns, band=args.band)
-        cfg.validate()
         add_system("baseline", score_pairs_dtw(pairs, features, cfg))
 
     write_results_csv(out / "results.csv", rows)
@@ -412,8 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--sffs-k", type=int, default=9)
     v.add_argument("--sffs-pairs", type=int, default=500,
                    help="development pair budget for the selection search")
-    v.add_argument("--columns", type=_columns, default=ALL_COLUMNS,
-                   help="baseline feature columns, e.g. 1,2,5")
+    v.add_argument("--columns", type=_columns, default=None,
+                   help="baseline feature columns, e.g. 1,2,5 (default: all "
+                        "23); excludes --sffs")
     v.add_argument("--band", type=int, default=0)
     v.add_argument("--det-points", type=int, default=200)
     v.add_argument("--out", required=True)

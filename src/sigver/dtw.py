@@ -191,11 +191,15 @@ def sffs_select(
 ) -> tuple[tuple, list[SffsStep]]:
     """Sequential floating forward selection of DTW feature columns.
 
-    Greedily adds the column that minimizes development 4vs1 EER, then
-    conditionally removes columns while that improves on the best subset
-    previously seen at the smaller size. Ties break toward the lowest
-    column index, so the search is deterministic. Returns the best
-    subset found (sorted) and the step log.
+    Each step scores its candidate moves by the development 4vs1 EER of
+    the subset they lead to and takes the lowest, ties going to the
+    lowest column, so the search is deterministic. An add is taken, up
+    to ``k_max`` columns, unless from the second column on its EER is no
+    lower than the best at the size below and at its own size: then the
+    search stops. After each add, while more than two columns remain,
+    the best drop is taken if it beats the best EER at the smaller size.
+    Returns the lowest-EER subset among the best at each size, ties
+    going to the lexicographically smallest (sorted), and the step log.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
@@ -217,38 +221,31 @@ def sffs_select(
     best_at_size: dict[int, tuple[float, tuple]] = {}
     steps: list[SffsStep] = []
 
-    while len(selected) < k_max:
-        candidates = [c for c in ALL_COLUMNS if c not in selected]
-        if not candidates:
-            break
-        add_eers = [(eer_of(tuple(selected) + (c,)), c) for c in candidates]
-        add_eer, add_col = min(add_eers)
-        size = len(selected) + 1
-        prev_best = best_at_size.get(size, (np.inf,))[0]
-        if size > 1 and add_eer >= best_at_size.get(size - 1, (np.inf,))[0] \
-                and add_eer >= prev_best:
-            break  # growing stopped helping
-        selected.append(add_col)
-        if add_eer < prev_best:
-            best_at_size[size] = (add_eer, tuple(sorted(selected)))
-        steps.append(SffsStep("add", add_col, add_eer, tuple(sorted(selected))))
+    def best_move(moves) -> tuple[float, int]:  # moves: (column, subset)
+        return min((eer_of(subset), col) for col, subset in moves)
 
-        # floating phase: drop columns while that beats the smaller sizes
+    def best_eer(size: int) -> float:
+        return best_at_size.get(size, (np.inf,))[0]
+
+    def record(action: str, col: int, eer: float) -> None:
+        subset = tuple(sorted(selected))
+        steps.append(SffsStep(action, col, eer, subset))
+        if eer < best_eer(len(subset)):
+            best_at_size[len(subset)] = (eer, subset)
+
+    while len(selected) < min(k_max, N_FEATURES):
+        eer, col = best_move((c, (*selected, c)) for c in ALL_COLUMNS if c not in selected)
+        size = len(selected) + 1
+        if selected and eer >= best_eer(size - 1) and eer >= best_eer(size):
+            break  # growing stopped helping
+        selected.append(col)
+        record("add", col, eer)
         while len(selected) > 2:
-            drop_eers = [
-                (eer_of(tuple(c for c in selected if c != col)), col)
-                for col in selected
-            ]
-            drop_eer, drop_col = min(drop_eers)
-            smaller = len(selected) - 1
-            if drop_eer < best_at_size.get(smaller, (np.inf,))[0]:
-                selected.remove(drop_col)
-                best_at_size[smaller] = (drop_eer, tuple(sorted(selected)))
-                steps.append(
-                    SffsStep("remove", drop_col, drop_eer, tuple(sorted(selected)))
-                )
-            else:
+            eer, col = best_move((c, tuple(s for s in selected if s != c)) for c in selected)
+            if eer >= best_eer(len(selected) - 1):
                 break
+            selected.remove(col)
+            record("remove", col, eer)
 
     _, best_subset = min(best_at_size.values())
     return best_subset, steps

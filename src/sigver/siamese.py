@@ -124,7 +124,7 @@ class TrainConfig:
     batch_size: int = 64
     max_iterations: int = 200
     patience: int = 0  # 0 disables early stopping
-    clip_norm: float = 5.0
+    clip_norm: float = 5.0  # 0 disables clipping
     seed: int = 0
     optimizer: str = "adam"  # "adam" | "sgd"
     stop_below_cost: float = 0.0  # stop once mean cost drops under this; 0 disables
@@ -132,6 +132,12 @@ class TrainConfig:
     def validate(self) -> None:
         if self.learning_rate < 0 or self.batch_size < 1 or self.max_iterations < 0:
             raise ValueError("learning rate, batch size, iterations must be valid")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
+        for name in ("patience", "clip_norm", "stop_below_cost"):
+            value = getattr(self, name)
+            if not value >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be non-negative (0 disables it), got {value}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
@@ -377,12 +383,6 @@ def score_pairs(model: SiameseModel, seq_a: list, seq_b: list) -> np.ndarray:
     windows = _windows(seq_a, seq_b)
     return (np.concatenate(_map_windows(model, windows)) if windows
             else np.empty(0))
-
-
-def pair_loss(score: float, label: int) -> float:
-    """Binary cross-entropy of one pair score against its label."""
-    s = min(max(float(score), SCORE_CLAMP), 1.0 - SCORE_CLAMP)
-    return -(label * np.log(s) + (1 - label) * np.log(1.0 - s))
 
 
 def batch_loss_grads(

@@ -32,11 +32,11 @@ from sigver.metrics import (
     make_score_set,
 )
 from sigver.siamese import (
+    SCORE_CLAMP,
     ModelConfig,
     TrainConfig,
     init_model,
     pack_params,
-    pair_loss,
     batch_loss_grads,
     score_pairs,
     train,
@@ -57,6 +57,13 @@ def finish(number: int, name: str, problems: list, started: float) -> None:
 
 
 # --- 1: full-stack gradient correctness ---------------------------------
+
+
+def pair_loss(score: float, label: int) -> float:
+    """Binary cross-entropy of one pair score against its label, clamped
+    like the training loss."""
+    s = min(max(float(score), SCORE_CLAMP), 1.0 - SCORE_CLAMP)
+    return -(label * np.log(s) + (1 - label) * np.log(1.0 - s))
 
 
 def test_criterion_1_gradients_match_finite_differences():

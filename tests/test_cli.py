@@ -469,6 +469,38 @@ def sffs_pairs_one_class(tmp, corpus):
             "error: max_pairs=1 keeps development pairs of one class only")
 
 
+def sffs_with_columns(tmp, corpus):
+    return (["evaluate", "--data", corpus, "--baseline", "--sffs", "--columns", "4,5",
+             "--out", tmp], 2, "usage error: --columns and --sffs exclude each other")
+
+
+def config_columns_with_sffs(tmp, corpus):
+    cfg = tmp / "eval.cfg"
+    cfg.write_text("columns = 4,5\n")
+    return (["evaluate", "--config", cfg, "--data", corpus, "--baseline", "--sffs",
+             "--out", tmp], 2, "usage error: --columns and --sffs exclude each other")
+
+
+def config_empty_columns(tmp, corpus):
+    cfg = tmp / "eval.cfg"
+    cfg.write_text("columns = ,\n")
+    argv = ["evaluate", "--config", cfg, "--data", corpus, "--baseline", "--out", tmp]
+    return argv, 2, f"usage error: {cfg}: bad value for columns: column list is empty"
+
+
+def dev_users_negative(tmp, corpus):
+    return (["evaluate", "--data", corpus, "--baseline", "--dev-users", -1,
+             "--out", tmp], 1, "error: n_dev_users must be non-negative")
+
+
+def train_with(option, value, message):
+    def case(tmp, corpus):
+        return (["train", "--data", corpus, "--iterations", 1, option, value,
+                 "--out", tmp / "m"], 1, f"error: {message}")
+    case.__name__ = f"train_{option[2:].replace('-', '_')}_{value}"
+    return case
+
+
 def det_points_zero(tmp, corpus):
     return (["evaluate", "--data", corpus, "--baseline", "--det-points", 0,
              "--out", tmp], 2, "usage error: --det-points must be at least 2")
@@ -509,7 +541,13 @@ def model_empty_head_b(tmp, corpus):
     corpus_int64_overflow, manifest_bad_session, corpus_session_zero, manifest_session_zero,
     corpus_non_ascii_session, manifest_non_ascii_session, corpus_too_short,
     corpus_duplicate_key, sffs_k_zero, sffs_pairs_one_class, det_points_zero,
-    det_points_negative, model_float_stride, model_empty_head_b,
+    det_points_negative, model_float_stride, model_empty_head_b, sffs_with_columns,
+    config_columns_with_sffs, config_empty_columns, dev_users_negative,
+    train_with("--clip-norm", -1, "clip_norm must be non-negative (0 disables it), got -1.0"),
+    train_with("--patience", -3, "patience must be non-negative (0 disables it), got -3"),
+    train_with("--stop-below-cost", -1,
+               "stop_below_cost must be non-negative (0 disables it), got -1.0"),
+    train_with("--learning-rate", "nan", "learning_rate must be finite, got nan"),
 ], ids=lambda case: case.__name__)
 def test_bad_input_is_one_line_error(case, corpus, tmp_path, capsys):
     argv, code, message = case(tmp_path, corpus)

@@ -299,6 +299,63 @@ def test_sffs_k1_is_exhaustive_singleton_search():
         sffs_select(split, features, k_max=0)
 
 
+def sffs_on_table(monkeypatch, table, **kwargs):
+    """sffs_select where a subset's dev EER is ``table``'s entry, 0.45 if absent.
+
+    The subset flows through the patched scorer and aggregator to the
+    patched EER; returns the result and every subset scored, in order.
+    """
+    split, features = informative_corpus()
+    scored = []
+
+    def eer_of_subset(cols):
+        scored.append(cols)
+        return table.get(cols, 0.45), 0.0
+
+    monkeypatch.setattr(dtw, "score_pairs_dtw", lambda pairs, feats, cfg: cfg.selected_columns)
+    monkeypatch.setattr(dtw, "aggregate_4vs1", lambda pairs, cols, system: cols)
+    monkeypatch.setattr(dtw, "compute_eer", eer_of_subset)
+    return sffs_select(split, features, **kwargs), scored
+
+
+def test_sffs_floats_back_then_stops(monkeypatch):
+    table = {(1,): 0.30, (2,): 0.35, (1, 2): 0.20, (2, 3): 0.05, (1, 3): 0.25,
+             (1, 2, 3): 0.10}
+    (subset, steps), scored = sffs_on_table(monkeypatch, table)
+    # 1 (.30) beats 2 (.35); {1,2} .20; {1,2,3} .10; dropping 1 gives {2,3}
+    # .05 < .20, the best pair so far; dropping more would leave one column.
+    # Adding back to three gives {1,2,3} .10, no better than the best three
+    # (.10) or the best two (.05), so the search stops
+    assert [(s.action, s.column, s.eer, s.subset) for s in steps] == [
+        ("add", 1, 0.30, (1,)),
+        ("add", 2, 0.20, (1, 2)),
+        ("add", 3, 0.10, (1, 2, 3)),
+        ("remove", 1, 0.05, (2, 3)),
+    ]
+    assert subset == (2, 3)
+    others = [c for c in ALL_COLUMNS if c not in (1, 2, 3)]
+    assert scored == [
+        *[(c,) for c in ALL_COLUMNS],
+        *[(1, c) for c in ALL_COLUMNS if c != 1],
+        *[(1, 2, c) for c in ALL_COLUMNS if c > 2],
+        (2, 3), (1, 3), (1, 2),  # drops, in selection order
+        (1, 2, 3), *[(2, 3, c) for c in others],
+    ]
+    assert len(scored) == 23 + 22 + 21 + 3 + 21
+
+
+def test_sffs_on_flat_eers_adds_every_column_then_ends(monkeypatch):
+    (subset, steps), scored = sffs_on_table(monkeypatch, {}, k_max=30)
+    # equal EERs: each add takes the lowest column, never stops (size n has
+    # no earlier best) and never drops (no drop is strictly better); the
+    # final tie goes to the lexicographically smallest subset
+    assert [(s.action, s.column) for s in steps] == [("add", c) for c in ALL_COLUMNS]
+    assert steps[-1].subset == ALL_COLUMNS
+    assert subset == (1,)
+    # 23 + 22 + ... + 1 additions, and a drop scan at every size from 3 to 23
+    assert len(scored) == sum(range(1, N_FEATURES + 1)) + sum(range(3, N_FEATURES + 1))
+
+
 def test_sffs_rejects_single_class_dev_set():
     protocol = ProtocolConfig(
         enrollment_per_user=2, test_genuine_per_user=3, forgeries_per_user=0

