@@ -163,12 +163,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     n = 0
     for record in records:
-        seq = extract_features(
-            record,
-            normalize=not args.raw,
-            time_scaled=args.time_scaled,
-            drop_pen_up=args.drop_pen_up,
-        )
+        seq = extract_features(record, normalize=not args.raw)
         user_dir = out / record.user_id
         user_dir.mkdir(exist_ok=True)
         name = Path(record_filename(record)).with_suffix(".csv")
@@ -179,17 +174,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    split = _split_from_args(args)
-    if len(split.development_users) < 2:
-        raise UsageError(
-            f"training needs at least 2 development users, "
-            f"got {len(split.development_users)}"
-        )
-    dev_pairs = build_pairs(split, DEVELOPMENT)
-    features = _load_features(split.records(DEVELOPMENT))
-    print(f"development users: {len(split.development_users)}, "
-          f"pairs: {len(dev_pairs)}")
-
     model_cfg = ModelConfig(
         branch_hidden=args.branch_hidden,
         merge_hidden=args.merge_hidden,
@@ -205,6 +189,19 @@ def cmd_train(args: argparse.Namespace) -> int:
         optimizer=args.optimizer,
         stop_below_cost=args.stop_below_cost,
     )
+    model_cfg.validate()
+    train_cfg.validate()  # both before any file is read
+    split = _split_from_args(args)
+    if len(split.development_users) < 2:
+        raise UsageError(
+            f"training needs at least 2 development users, "
+            f"got {len(split.development_users)}"
+        )
+    dev_pairs = build_pairs(split, DEVELOPMENT)
+    features = _load_features(split.records(DEVELOPMENT))
+    print(f"development users: {len(split.development_users)}, "
+          f"pairs: {len(dev_pairs)}")
+
     model = init_model(model_cfg, np.random.default_rng(args.seed))
 
     def dev_eers(m) -> tuple[float, float]:
@@ -246,6 +243,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError("evaluate needs --model and/or --baseline")
     if args.sffs and not args.baseline:
         raise UsageError("--sffs applies to the --baseline scorer")
+    # None unless a flag or config line gives it; then its scorer must run
+    for owner, what, options in (("baseline", "scorer", ("columns", "band")),
+                                 ("sffs", "search", ("sffs_k", "sffs_pairs"))):
+        for option in options:
+            if getattr(args, option) is not None and not getattr(args, owner):
+                raise UsageError(f"--{option.replace('_', '-')} applies to the "
+                                 f"--{owner} {what}")
+    for option, default in (("band", 0), ("sffs_k", 9), ("sffs_pairs", 500)):
+        if getattr(args, option) is None:
+            setattr(args, option, default)
     if args.sffs and args.columns is not None:
         raise UsageError("--columns and --sffs exclude each other")
     if args.sffs and args.sffs_k < 1:
@@ -372,9 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(e)
     e.add_argument("--data", required=True, help="SVC dataset root")
     e.add_argument("--manifest", default=None)
-    e.add_argument("--raw", action="store_true", help="skip normalization")
-    e.add_argument("--time-scaled", action="store_true")
-    e.add_argument("--drop-pen-up", action="store_true")
+    e.add_argument("--raw", action="store_true", help="skip the per-signature z-score")
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_extract)
 
@@ -410,13 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the DTW reference system")
     v.add_argument("--sffs", action="store_true",
                    help="select baseline columns on the development split")
-    v.add_argument("--sffs-k", type=int, default=9)
-    v.add_argument("--sffs-pairs", type=int, default=500,
-                   help="development pair budget for the selection search")
+    v.add_argument("--sffs-k", type=int, help="largest subset to search (default 9)")
+    v.add_argument("--sffs-pairs", type=int, help="development pair budget (default 500)")
     v.add_argument("--columns", type=_columns, default=None,
                    help="baseline feature columns, e.g. 1,2,5 (default: all "
                         "23); excludes --sffs")
-    v.add_argument("--band", type=int, default=0)
+    v.add_argument("--band", type=int, help="DTW band |i-j| (default 0: none)")
     v.add_argument("--det-points", type=int, default=200)
     v.add_argument("--out", required=True)
     v.set_defaults(func=cmd_evaluate)

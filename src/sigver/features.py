@@ -1,5 +1,11 @@
 """Per-sample time functions computed from a pen trajectory.
 
+A signature's features are its 23 time functions at every sample, pen-up
+samples included, with the sample index as time, each column z-scored
+per signature. Training, scoring, the DTW baseline and ``sigver
+extract`` all read this one matrix; ``normalize=False`` (``extract
+--raw``) gives its values before the z-score.
+
 Columns of the feature matrix (1-based, see FEATURE_NAMES):
 
   1 x         pen x position
@@ -107,49 +113,35 @@ def zscore_columns(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(centred)
 
 
-def extract_features(
-    record: SignatureRecord,
-    normalize: bool = True,
-    time_scaled: bool = False,
-    drop_pen_up: bool = False,
-) -> FeatureSequence:
-    """Compute the 23 time functions for one signature.
+def extract_features(record: SignatureRecord, normalize: bool = True) -> FeatureSequence:
+    """Compute the 23 time functions over every sample of one signature.
 
-    With ``normalize`` each column is z-scored per signature (constant
-    columns become all-zero, which is how pressure-free records end up
-    with zero pressure channels). ``time_scaled`` divides derivatives by
-    the local timestamp spacing (in 10 ms units) for irregularly sampled
-    data; at a uniform 100 Hz it changes nothing. ``drop_pen_up``
-    discards pen-up samples before anything is computed; the default
-    keeps them, since in-air trajectories carry signal too.
+    Derivatives are taken per sample, pen-up samples included: in-air
+    trajectories carry signal too. With ``normalize`` (what training and
+    scoring use) each column is z-scored per signature; constant columns
+    become all-zero, which is how pressure-free records end up with zero
+    pressure channels. ``normalize=False`` gives the same time functions
+    before the z-score.
     """
-    keep = record.pen_down if drop_pen_up else slice(None)
-    timestamp = record.timestamp[keep]
-    n = timestamp.shape[0]
+    n = len(record)
     if n < 7:
         raise ValueError(f"{record.key}: sequence too short: {n} samples, need at least 7")
 
-    tscale = np.maximum(derivative(timestamp / 10.0), EPS) if time_scaled else 1.0
-
-    def deriv(rows: np.ndarray) -> np.ndarray:
-        d = derivative(rows)
-        return d / tscale if time_scaled else d
-
     # row i holds channel i + 1 (FEATURE_NAMES order)
     f = np.empty((N_FEATURES, n))
-    f[0], f[1], f[2] = record.x[keep], record.y[keep], record.pressure[keep]
-    f[7:10] = deriv(f[0:3])  # dx, dy, dp
+    f[0], f[1], f[2] = record.x, record.y, record.pressure
+    f[7:10] = derivative(f[0:3])  # dx, dy, dp
     f[3] = np.arctan2(f[8], f[7])  # theta
     f[4] = np.hypot(f[7], f[8])  # v
     steps = f[0:2, 1:] - f[0:2, :-1]  # chord steps in x and y
     f[17, :-1] = np.arctan2(steps[1], steps[0])  # alpha
     f[17, -1] = f[17, -2]
     # rows 3:18:14 are (theta, alpha) and rows 10:19:8 their derivatives
-    d = deriv(np.concatenate((np.unwrap(f[3:18:14]), f[4:5])))
+    d = derivative(np.concatenate((np.unwrap(f[3:18:14]), f[4:5])))
     f[10:19:8], f[11] = d[:2], d[2]  # (dtheta, dalpha), dv
     f[5] = np.log((f[4] + EPS) / (np.abs(f[10]) + EPS))  # rho
     f[6] = np.hypot(f[11], f[4] * f[10])  # a
-    f[12:16] = deriv(f[5:9])  # drho, da, ddx, ddy
+    f[12:16] = derivative(f[5:9])  # drho, da, ddx, ddy
     f[19], f[20] = np.sin(f[17]), np.cos(f[17])
     # v, x and the cumulative chord length, each padded with 3 copies of
     # its first and last value: a window of 5 or 7 centred on any sample

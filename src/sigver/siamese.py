@@ -87,10 +87,8 @@ class ModelConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if min(self.n_features, self.branch_hidden, self.merge_hidden) < 1:
-            raise ValueError("sizes must be positive")
-        if self.time_stride < 1:
-            raise ValueError("time_stride must be a positive integer")
+            if value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
 @dataclass
@@ -130,14 +128,16 @@ class TrainConfig:
     stop_below_cost: float = 0.0  # stop once mean cost drops under this; 0 disables
 
     def validate(self) -> None:
-        if self.learning_rate < 0 or self.batch_size < 1 or self.max_iterations < 0:
-            raise ValueError("learning rate, batch size, iterations must be valid")
         if not np.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
-        for name in ("patience", "clip_norm", "stop_below_cost"):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        disabled_by_zero = ("patience", "clip_norm", "stop_below_cost")
+        for name in ("learning_rate", "max_iterations", *disabled_by_zero):
             value = getattr(self, name)
             if not value >= 0:  # NaN fails too
-                raise ValueError(f"{name} must be non-negative (0 disables it), got {value}")
+                zero = " (0 disables it)" if name in disabled_by_zero else ""
+                raise ValueError(f"{name} must be non-negative{zero}, got {value}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 

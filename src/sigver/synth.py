@@ -51,9 +51,9 @@ class SynthConfig:
     max_duration: float = 4.0
 
     def validate(self) -> None:
-        if min(self.n_users, self.n_sessions, self.genuine_per_session,
-               self.forgeries_per_user) < 1:
-            raise ValueError("counts must be positive")
+        for name in ("n_users", "n_sessions", "genuine_per_session", "forgeries_per_user"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.session_jitter < 0 or self.forgery_noise < 0:
             raise ValueError("jitter and noise must be non-negative")
         if not (0.1 <= self.min_duration <= self.max_duration):

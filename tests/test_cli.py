@@ -2,6 +2,8 @@
 
 import argparse
 import csv
+import dataclasses
+import inspect
 import json
 import re
 import shutil
@@ -11,7 +13,11 @@ import numpy as np
 import pytest
 
 from sigver import cli
-from sigver.siamese import TrainingDiverged
+from sigver.dataset import ProtocolConfig
+from sigver.dtw import DtwConfig
+from sigver.features import extract_features
+from sigver.siamese import ModelConfig, TrainConfig, TrainingDiverged
+from sigver.synth import SynthConfig
 
 
 def run(*argv) -> int:
@@ -86,6 +92,22 @@ class TestConfigFile:
         assert run("generate", "--config", cfg, "--out", tmp_path / "c") == 0
         assert "generated 2 users" in capsys.readouterr().out
 
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("# a small corpus\n\nusers = 2\n   \n  # quick\nmax_duration = 1.6\n")
+        assert run("generate", "--config", cfg, "--out", tmp_path / "c") == 0
+        assert "generated 2 users" in capsys.readouterr().out
+
+    def test_without_subcommand_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("users = 2\n")
+        with pytest.raises(SystemExit) as exc:
+            run("--config", cfg)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument subcommand: invalid choice" in err
+        assert "Traceback" not in err
+
     def test_explicit_flag_wins(self, tmp_path, capsys):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("users = 2\nmax_duration = 1.6\n")
@@ -127,8 +149,7 @@ def test_option_surface_is_pinned():
         "generate": {"config", "seed", "users", "sessions", "genuine_per_session",
                      "forgeries", "noise", "jitter", "min_duration", "max_duration",
                      "out"},
-        "extract": {"config", "data", "manifest", "raw", "time_scaled", "drop_pen_up",
-                    "out"},
+        "extract": {"config", "data", "manifest", "raw", "out"},
         "train": {"config", "seed", "data", "manifest", "dev_users", "iterations",
                   "batch_size", "learning_rate", "branch_hidden", "merge_hidden",
                   "time_stride", "optimizer", "patience", "clip_norm",
@@ -140,22 +161,54 @@ def test_option_surface_is_pinned():
     }
 
 
+def test_library_settable_values_are_pinned():
+    """Every field of the library's configs and every parameter of
+    extract_features; adding a knob to the library means editing this."""
+    configs = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+               for cls in (SynthConfig, ModelConfig, TrainConfig, DtwConfig, ProtocolConfig)}
+    assert configs == {
+        "SynthConfig": ["n_users", "n_sessions", "genuine_per_session",
+                        "forgeries_per_user", "seed", "session_jitter", "forgery_noise",
+                        "min_duration", "max_duration"],
+        "ModelConfig": ["n_features", "branch_hidden", "merge_hidden", "symmetric",
+                        "concat", "readout", "time_stride"],
+        "TrainConfig": ["learning_rate", "batch_size", "max_iterations", "patience",
+                        "clip_norm", "seed", "optimizer", "stop_below_cost"],
+        "DtwConfig": ["selected_columns", "band"],
+        "ProtocolConfig": ["enrollment_per_user", "test_genuine_per_user",
+                           "forgeries_per_user"],
+    }
+    assert list(inspect.signature(extract_features).parameters) == ["record", "normalize"]
+
+
+def assert_option_is_unknown(argv, flag, key, value, tmp_path, capsys):
+    """``flag`` (a token list) after ``argv`` is an argparse usage error,
+    and so is a ``key = value`` line in a --config file."""
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, *flag)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+    assert "Traceback" not in err
+    cfg = tmp_path / "option.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert run(argv[0], "--config", cfg, *argv[1:]) == 2
+    assert capsys.readouterr().err == f"usage error: {cfg}: unknown option {key!r}\n"
+
+
+@pytest.mark.parametrize("option", ["time_scaled", "drop_pen_up"])
+def test_removed_extract_options_are_usage_errors(option, tmp_path, capsys):
+    assert_option_is_unknown(["extract", "--data", "d", "--out", "o"],
+                             ["--" + option.replace("_", "-")], option, 1, tmp_path, capsys)
+
+
 @pytest.mark.parametrize("argv", [
     ["extract", "--data", "d", "--out", "o"],
     ["evaluate", "--data", "d", "--baseline", "--out", "o"],
     ["report", "results.csv"],
 ], ids=lambda argv: argv[0])
 def test_seed_is_a_usage_error_where_nothing_is_random(argv, tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(*argv, "--seed", 5)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "unrecognized arguments: --seed 5" in err
-    assert "Traceback" not in err
-    cfg = tmp_path / "seed.cfg"
-    cfg.write_text("seed = 5\n")
-    assert run(argv[0], "--config", cfg, *argv[1:]) == 2
-    assert capsys.readouterr().err == f"usage error: {cfg}: unknown option 'seed'\n"
+    assert_option_is_unknown(argv, ["--seed", "5"], "seed", 5, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -494,11 +547,38 @@ def dev_users_negative(tmp, corpus):
 
 
 def train_with(option, value, message):
+    """A bad training value fails before the corpus is read: stdout stays empty."""
     def case(tmp, corpus):
         return (["train", "--data", corpus, "--iterations", 1, option, value,
                  "--out", tmp / "m"], 1, f"error: {message}")
     case.__name__ = f"train_{option[2:].replace('-', '_')}_{value}"
+    case.quiet = True
     return case
+
+
+def evaluate_without(owner, option, value, config=False):
+    """An option of the --baseline scorer or the --sffs search where it does not run."""
+    def case(tmp, corpus):
+        argv = ["evaluate", "--data", corpus, "--model", "m.npz"]
+        if owner == "sffs":
+            argv.append("--baseline")
+        if config:
+            cfg = tmp / "eval.cfg"
+            cfg.write_text(f"{option.replace('-', '_')} = {value}\n")
+            argv += ["--config", cfg]
+        else:
+            argv += [f"--{option}", value]
+        what = "scorer" if owner == "baseline" else "search"
+        return ([*argv, "--out", tmp], 2,
+                f"usage error: --{option} applies to the --{owner} {what}")
+    case.__name__ = f"{option.replace('-', '_')}_without_{owner}" + ("_config" if config else "")
+    case.quiet = True
+    return case
+
+
+def generate_zero_sessions(tmp, corpus):
+    return (["generate", "--sessions", 0, "--out", tmp / "c"], 1,
+            "error: n_sessions must be at least 1, got 0")
 
 
 def det_points_zero(tmp, corpus):
@@ -548,11 +628,25 @@ def model_empty_head_b(tmp, corpus):
     train_with("--stop-below-cost", -1,
                "stop_below_cost must be non-negative (0 disables it), got -1.0"),
     train_with("--learning-rate", "nan", "learning_rate must be finite, got nan"),
+    train_with("--learning-rate", -1, "learning_rate must be non-negative, got -1.0"),
+    train_with("--batch-size", 0, "batch_size must be at least 1, got 0"),
+    train_with("--iterations", -1, "max_iterations must be non-negative, got -1"),
+    train_with("--time-stride", 0, "time_stride must be a positive integer, got 0"),
+    evaluate_without("baseline", "columns", "1,2"),
+    evaluate_without("baseline", "band", 5),
+    evaluate_without("baseline", "band", 5, config=True),
+    evaluate_without("sffs", "sffs-k", 2),
+    evaluate_without("sffs", "sffs-pairs", 24),
+    evaluate_without("sffs", "sffs-pairs", 24, config=True),
+    generate_zero_sessions,
 ], ids=lambda case: case.__name__)
 def test_bad_input_is_one_line_error(case, corpus, tmp_path, capsys):
     argv, code, message = case(tmp_path, corpus)
     assert run(*argv) == code
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.endswith("\n")
     assert err.startswith(message)
+    if getattr(case, "quiet", False):
+        assert captured.out == ""

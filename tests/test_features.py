@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,21 +18,16 @@ from sigver.svc import DEFAULT_PRESSURE, InvariantError, SignatureRecord
 COL = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
 
-def make_record(x, y, pressure=None, dt=10, pen_down=None, pressure_free=False):
+def make_record(x, y, pressure=None):
     x = np.round(np.asarray(x)).astype(np.int64)
     y = np.round(np.asarray(y)).astype(np.int64)
     n = x.shape[0]
     if pressure is None:
         pressure = np.full(n, DEFAULT_PRESSURE, dtype=np.int64)
-    else:
-        pressure = np.asarray(pressure, dtype=np.int64)
-    if pen_down is None:
-        pen_down = np.ones(n, dtype=bool)
     rec = SignatureRecord(
-        x=x, y=y, pressure=pressure,
-        timestamp=np.arange(n, dtype=np.int64) * dt,
-        pen_down=np.asarray(pen_down, dtype=bool),
-        user_id="t", pressure_free=pressure_free,
+        x=x, y=y, pressure=np.asarray(pressure, dtype=np.int64),
+        timestamp=np.arange(n, dtype=np.int64) * 10,
+        pen_down=np.ones(n, dtype=bool), user_id="t",
     )
     rec.validate()
     return rec
@@ -137,38 +130,6 @@ def test_deterministic(tiny_records):
     assert np.array_equal(a, b)
 
 
-def test_drop_pen_up():
-    n = 30
-    pen = np.ones(n, dtype=bool)
-    pen[10:18] = False
-    rec = make_record(np.arange(n) * 3, np.arange(n), pen_down=pen)
-    seq = extract_features(rec, drop_pen_up=True)
-    assert seq.values.shape[0] == n - 8
-    assert extract_features(rec).values.shape[0] == n
-
-    mostly_up = make_record(np.arange(10), np.arange(10),
-                            pen_down=np.arange(10) < 5)
-    with pytest.raises(ValueError, match="too short"):
-        extract_features(mostly_up, drop_pen_up=True)
-
-
-def test_time_scaling():
-    rng = np.random.default_rng(5)
-    x = np.cumsum(rng.integers(-20, 21, 60))
-    y = np.cumsum(rng.integers(-20, 21, 60))
-    uniform = make_record(x, y, dt=10)
-    plain = extract_features(uniform, normalize=False).values
-    scaled = extract_features(uniform, time_scaled=True, normalize=False).values
-    assert np.array_equal(plain, scaled)
-
-    # doubling the sampling interval halves every derivative-based channel
-    slow = make_record(x, y, dt=20)
-    adjusted = extract_features(slow, time_scaled=True, normalize=False).values
-    raw = extract_features(slow, normalize=False).values
-    assert np.allclose(adjusted[:, COL["dx"]], raw[:, COL["dx"]] / 2.0)
-    assert np.array_equal(adjusted[:, COL["theta"]], raw[:, COL["theta"]])
-
-
 def test_feature_csv_round_trip(tmp_path, tiny_features):
     seq = next(iter(tiny_features.values()))
     path = tmp_path / "features.csv"
@@ -221,20 +182,14 @@ def column_length_width_ratio(x, y, size):
     return length / (width + EPS)
 
 
-def column_extract(record, normalize=True, time_scaled=False, drop_pen_up=False):
-    keep = record.pen_down if drop_pen_up else slice(None)
-    x = record.x[keep].astype(np.float64)
-    y = record.y[keep].astype(np.float64)
-    p = record.pressure[keep].astype(np.float64)
-    timestamp = record.timestamp[keep]
+def column_extract(record, normalize=True):
+    x = record.x.astype(np.float64)
+    y = record.y.astype(np.float64)
+    p = record.pressure.astype(np.float64)
     n = x.shape[0]
     if n < 7:
         raise ValueError(f"{record.key}: sequence too short: {n} samples, need at least 7")
-    tscale = np.maximum(column_derivative(timestamp / 10.0), EPS) if time_scaled else 1.0
-
-    def deriv(signal):
-        d = column_derivative(signal)
-        return d / tscale if time_scaled else d
+    deriv = column_derivative
 
     xd = deriv(x)
     yd = deriv(y)
@@ -266,24 +221,21 @@ def column_extract(record, normalize=True, time_scaled=False, drop_pen_up=False)
     return values
 
 
-OPTIONS = list(itertools.product((False, True), repeat=3))  # normalize, time_scaled, drop
-
-
 def assert_matches_column_extractor(record):
-    for normalize, time_scaled, drop in OPTIONS:
+    for normalize in (False, True):
         try:
-            expected = column_extract(record, normalize, time_scaled, drop)
+            expected = column_extract(record, normalize)
         except Exception as exc:  # the same error, type and message, or none
             with pytest.raises(Exception) as err:
-                extract_features(record, normalize, time_scaled, drop)
+                extract_features(record, normalize)
             assert type(err.value) is type(exc)
             assert str(err.value) == str(exc)
             continue
-        got = extract_features(record, normalize, time_scaled, drop).values
+        got = extract_features(record, normalize).values
         assert got.shape == expected.shape
         assert got.dtype == expected.dtype == np.float64
         assert got.flags.c_contiguous
-        assert got.tobytes() == expected.tobytes(), (normalize, time_scaled, drop)
+        assert got.tobytes() == expected.tobytes(), normalize
 
 
 INT64_EDGE = 2**63 - 2**20  # leaves room for 500 steps of up to 1000 units
@@ -307,21 +259,9 @@ def signature_records(draw):
         pressure = np.full(n, DEFAULT_PRESSURE)
     else:
         pressure = rng.integers(0, 1024, n)
-    # repeated timestamps exercise the EPS floor of time_scaled
-    spacing = draw(st.sampled_from(["uniform", "repeats", "irregular"]))
-    dt = {"uniform": np.full(n, 10), "repeats": rng.integers(0, 2, n) * 10,
-          "irregular": rng.integers(1, 40, n)}[spacing]
-    pen = draw(st.sampled_from(["down", "runs", "mostly_up"]))
-    if pen == "down":
-        pen_down = np.ones(n, dtype=bool)
-    elif pen == "runs":
-        pen_down = np.repeat(rng.random(n // 5 + 1) < 0.7, 5)[:n]
-    else:  # dropping pen-up samples leaves fewer than 7
-        pen_down = np.zeros(n, dtype=bool)
-        pen_down[rng.choice(n, size=min(n, draw(st.integers(0, 8))), replace=False)] = True
     record = SignatureRecord(
-        x=x + offset, y=y - offset, pressure=pressure, timestamp=np.cumsum(dt),
-        pen_down=pen_down, user_id="h", pressure_free=pressure_free,
+        x=x + offset, y=y - offset, pressure=pressure, timestamp=np.arange(n) * 10,
+        pen_down=np.ones(n, dtype=bool), user_id="h", pressure_free=pressure_free,
     )
     record.validate()
     return record

@@ -593,8 +593,11 @@ def test_config_validation():
         TrainConfig(learning_rate=-1.0).validate()
     with pytest.raises(ValueError, match="optimizer"):
         TrainConfig(optimizer="rmsprop").validate()
+    with pytest.raises(ValueError, match="^batch_size must be at least 1, got 0$"):
+        TrainConfig(batch_size=0).validate()
     for field, bad in [("patience", -1), ("clip_norm", -0.5), ("clip_norm", math.nan),
-                       ("stop_below_cost", -1e-3)]:
+                       ("stop_below_cost", -1e-3), ("learning_rate", -1.0),
+                       ("max_iterations", -1)]:
         with pytest.raises(ValueError, match=f"^{field} must be non-negative"):
             TrainConfig(**{field: bad}).validate()
     for rate in (math.nan, math.inf):
