@@ -87,7 +87,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
     )
     names = [tok for tok in argv if tok in sub_action.choices]
     if not names:
-        return  # no subcommand given; the main parse will report that
+        raise UsageError("a subcommand is required before a --config file applies "
+                         f"(choose from {', '.join(sub_action.choices)})")
     sub = sub_action.choices[names[0]]
     values = _read_config_file(known.config)
     valid = {a.dest: a for a in sub._actions}

@@ -18,6 +18,7 @@ from scipy.spatial.distance import cdist
 from .dataset import DEVELOPMENT, build_pairs
 from .features import N_FEATURES
 from .metrics import aggregate_4vs1, compute_eer
+from .parallel import fork_map
 
 ALL_COLUMNS = tuple(range(1, N_FEATURES + 1))
 
@@ -67,21 +68,24 @@ def dtw_distances(pairs: list, band: int = 0) -> np.ndarray:
     ``CHUNK_CELLS`` padded cells; within a chunk the anti-diagonals of
     every pair advance together. Each cell sees the same float operations
     as a sweep of its pair alone, so the distances do not depend on how
-    pairs are batched. Returns the distances in pair order.
+    pairs are batched, nor on which process sweeps a chunk: ``fork_map``
+    spreads the chunks over the caller and one forked process per extra
+    usable CPU. Returns the distances in pair order.
     """
-    out = np.empty(len(pairs))
     order = sorted(range(len(pairs)), key=lambda p: len(pairs[p][0]) + len(pairs[p][1]))
-    chunk: list = []
+    chunks: list[list[int]] = []
     rows = cols = 0
     for p in order:
         n, m = len(pairs[p][0]), len(pairs[p][1])
-        if chunk and (len(chunk) + 1) * max(rows, n) * max(cols, m) > CHUNK_CELLS:
-            out[chunk] = _sweep([pairs[q] for q in chunk], band)
-            chunk, rows, cols = [], 0, 0
-        chunk.append(p)
+        if not chunks or (len(chunks[-1]) + 1) * max(rows, n) * max(cols, m) > CHUNK_CELLS:
+            chunks.append([])
+            rows = cols = 0
+        chunks[-1].append(p)
         rows, cols = max(rows, n), max(cols, m)
-    if chunk:
-        out[chunk] = _sweep([pairs[q] for q in chunk], band)
+    swept = fork_map(lambda k: _sweep([pairs[q] for q in chunks[k]], band), len(chunks))
+    out = np.empty(len(pairs))
+    for chunk, distances in zip(chunks, swept):
+        out[chunk] = distances
     return out
 
 
@@ -200,6 +204,7 @@ def sffs_select(
     the best drop is taken if it beats the best EER at the smaller size.
     Returns the lowest-EER subset among the best at each size, ties
     going to the lexicographically smallest (sorted), and the step log.
+    Each subset is scored once, however many moves lead to it.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
@@ -211,11 +216,14 @@ def sffs_select(
         raise ValueError(f"max_pairs={max_pairs} keeps development pairs of one "
                          "class only; the search needs both")
 
+    eers: dict[tuple, float] = {}  # a floating drop often returns to a scored subset
+
     def eer_of(cols: tuple) -> float:
-        cfg = DtwConfig(selected_columns=tuple(sorted(cols)), band=band)
-        scores = score_pairs_dtw(pairs, features, cfg)
-        agg = aggregate_4vs1(pairs, scores, system="baseline")
-        return compute_eer(agg)[0]
+        cols = tuple(sorted(cols))
+        if cols not in eers:
+            scores = score_pairs_dtw(pairs, features, DtwConfig(cols, band))
+            eers[cols] = compute_eer(aggregate_4vs1(pairs, scores, system="baseline"))[0]
+        return eers[cols]
 
     selected: list[int] = []
     best_at_size: dict[int, tuple[float, tuple]] = {}

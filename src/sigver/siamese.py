@@ -14,7 +14,7 @@ of n pairs encodes 2n branch rows: the n first signatures, then the n
 second ones. A branch row does not depend on the pair it is in, so
 scoring encodes each distinct signature once per window of consecutive
 pair batches (see _windows). Windows share no data, so score_pairs can
-score them in forked worker processes. Merge row r reads branch rows
+score them in forked processes (see parallel). Merge row r reads branch rows
 ``left[r]`` and ``right[r]``: rows 0..n-1 read pair r as (a, b) and,
 when symmetric, rows n..2n-1 read it as (b, a). The concat mode only
 chooses which steps the merge reads: all of them (per_step) or the last
@@ -27,9 +27,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import multiprocessing
-import os
-import threading
 import time
 import zipfile
 from dataclasses import asdict, dataclass
@@ -48,6 +45,7 @@ from .lstm import (
     sigmoid,
     split_gates,
 )
+from .parallel import fork_map
 
 MODEL_FORMAT = "sigver-model-v1"
 SCORE_CLAMP = 1e-12
@@ -318,71 +316,20 @@ def _score_window(model: SiameseModel, seqs: list, slice_rows: list) -> np.ndarr
         for rows in slice_rows])
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-_worker_job = None  # (model, windows) of a pool worker, set when it starts
-
-
-def _start_worker(model: SiameseModel, windows: list) -> None:
-    global _worker_job
-    _worker_job = (model, windows)
-
-
-def _score_window_at(index: int) -> np.ndarray:
-    model, windows = _worker_job
-    return _score_window(model, *windows[index])
-
-
-def _map_windows(model: SiameseModel, windows: list) -> list[np.ndarray]:
-    """``_score_window`` over the windows, in a forked pool when it can help.
-
-    The workers inherit the model and sequences through fork; only window
-    indices go out and score arrays come back. (A spawned worker would
-    import numpy afresh and be sent every sequence, on every call.) Each
-    window runs the same BLAS calls on the same arrays as in-process, so
-    the bits are the same. The windows stay in-process in a daemonic
-    process, such as a pool worker, which may not start children, and
-    while other threads run: a lock one of them holds at the fork would
-    stay locked in the worker.
-    """
-    workers = min(len(windows), _usable_cpus())
-    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon
-            or threading.active_count() > 1):
-        return [_score_window(model, *w) for w in windows]
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, _start_worker, (model, windows))
-    try:
-        results = pool.map(_score_window_at, range(len(windows)), chunksize=1)
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-    return results
-
-
 def score_pairs(model: SiameseModel, seq_a: list, seq_b: list) -> np.ndarray:
     """Scores for aligned lists of sequences, batched for throughput.
 
     The merge runs on consecutive ``SCORE_BATCH``-pair slices, and the
     branch encodes each distinct sequence once per window of slices (see
-    _windows). Windows share no data, so with more than one window and
-    more than one usable CPU they are scored in forked worker processes,
-    which are gone when this returns or raises; the scores are the same
-    bits either way.
+    _windows). Windows share no data, so ``fork_map`` spreads them over
+    the caller and one forked process per extra usable CPU; the scores
+    are the same bits either way.
     """
     if len(seq_a) != len(seq_b):
         raise ValueError("sequence lists must have equal length")
     windows = _windows(seq_a, seq_b)
-    return (np.concatenate(_map_windows(model, windows)) if windows
-            else np.empty(0))
+    scores = fork_map(lambda k: _score_window(model, *windows[k]), len(windows))
+    return np.concatenate(scores) if scores else np.empty(0)
 
 
 def batch_loss_grads(

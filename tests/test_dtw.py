@@ -1,8 +1,11 @@
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from sigver import dtw
+from sigver import dtw, parallel
 from sigver.dataset import Pair, ProtocolConfig, build_pairs, build_split, DEVELOPMENT
 from sigver.dtw import (
     ALL_COLUMNS,
@@ -18,6 +21,7 @@ from sigver.dtw import (
 from sigver.features import N_FEATURES
 from sigver.metrics import aggregate_4vs1, compute_eer
 from sigver.svc import SignatureKind, SignatureRecord
+from test_siamese import in_process, pooled
 
 THREE = DtwConfig(selected_columns=(1, 2, 3))
 
@@ -180,6 +184,64 @@ def test_batch_equals_per_pair_bit_for_bit(rng, monkeypatch, band):
     assert np.all(np.isfinite(reference))
 
 
+@pytest.mark.parametrize("band", [0, 2, 10])
+def test_forked_chunks_equal_in_process_chunks(rng, monkeypatch, band):
+    pairs = mixed_pairs(rng)
+    monkeypatch.setattr(dtw, "CHUNK_CELLS", 700)  # several chunks
+    in_process(monkeypatch)
+    expected = dtw_distances(pairs, band)
+    asked = pooled(monkeypatch)
+    assert dtw_distances(pairs, band).tobytes() == expected.tobytes()
+    assert asked == ["fork"]
+    assert multiprocessing.active_children() == []
+    reference = np.array([scalar_dtw(a, b, band) for a, b in pairs])
+    assert np.array_equal(expected, reference)
+
+
+def test_forked_chunk_error_is_the_in_process_error(rng, monkeypatch):
+    # an 80 x 80 pair with mismatched columns, swept in chunk 7 of 10: with
+    # two CPUs that chunk is the forked child's
+    pairs = [*mixed_pairs(rng), (rng.normal(0, 1, (80, 3)), rng.normal(0, 1, (80, 2)))]
+    monkeypatch.setattr(dtw, "CHUNK_CELLS", 700)
+    in_process(monkeypatch)
+    with pytest.raises(ValueError) as local:
+        dtw_distances(pairs)
+    asked = pooled(monkeypatch)
+    with pytest.raises(ValueError) as remote:
+        dtw_distances(pairs)
+    assert asked == ["fork"]
+    assert str(remote.value) == str(local.value)
+    assert "columns" in str(local.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_one_chunk_one_cpu_or_other_threads_fork_nothing(rng, monkeypatch):
+    def no_fork(method=None):
+        raise AssertionError("a process was asked for")
+
+    pairs = mixed_pairs(rng)
+    expected = np.array([scalar_dtw(a, b) for a, b in pairs])
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    # four pairs, as a verify request aligns, fit in one chunk
+    assert np.array_equal(dtw_distances(pairs[6:10]), expected[6:10])
+    monkeypatch.setattr(dtw, "CHUNK_CELLS", 700)
+    with pytest.raises(AssertionError, match="a process was asked for"):
+        dtw_distances(pairs)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    assert np.array_equal(dtw_distances(pairs), expected)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert np.array_equal(dtw_distances(pairs), expected)
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive()
+
+
 def test_batching_and_order_do_not_change_scores(rng):
     pairs = mixed_pairs(rng)
     whole = dtw_distances(pairs)
@@ -334,14 +396,16 @@ def test_sffs_floats_back_then_stops(monkeypatch):
     ]
     assert subset == (2, 3)
     others = [c for c in ALL_COLUMNS if c not in (1, 2, 3)]
-    assert scored == [
+    # each subset is scored once: the drops (1, 3) and (1, 2) and the add
+    # back to (1, 2, 3) reuse the EERs of earlier adds
+    assert scored == list(dict.fromkeys([
         *[(c,) for c in ALL_COLUMNS],
         *[(1, c) for c in ALL_COLUMNS if c != 1],
         *[(1, 2, c) for c in ALL_COLUMNS if c > 2],
         (2, 3), (1, 3), (1, 2),  # drops, in selection order
         (1, 2, 3), *[(2, 3, c) for c in others],
-    ]
-    assert len(scored) == 23 + 22 + 21 + 3 + 21
+    ]))
+    assert len(scored) == 23 + 22 + 21 + 1 + 20
 
 
 def test_sffs_on_flat_eers_adds_every_column_then_ends(monkeypatch):
@@ -352,8 +416,15 @@ def test_sffs_on_flat_eers_adds_every_column_then_ends(monkeypatch):
     assert [(s.action, s.column) for s in steps] == [("add", c) for c in ALL_COLUMNS]
     assert steps[-1].subset == ALL_COLUMNS
     assert subset == (1,)
-    # 23 + 22 + ... + 1 additions, and a drop scan at every size from 3 to 23
-    assert len(scored) == sum(range(1, N_FEATURES + 1)) + sum(range(3, N_FEATURES + 1))
+    # an add scan at every size k, then from k = 3 a drop scan, whose drops
+    # of the last two columns added were scored as adds: only k - 2 are new
+    moves = []
+    for k in ALL_COLUMNS:
+        moves += [(*range(1, k), c) for c in ALL_COLUMNS if c >= k]
+        if k >= 3:
+            moves += [tuple(s for s in range(1, k + 1) if s != c) for c in range(1, k + 1)]
+    assert scored == list(dict.fromkeys(moves))
+    assert len(scored) == sum(range(1, N_FEATURES + 1)) + sum(range(1, N_FEATURES - 1))
 
 
 def test_sffs_rejects_single_class_dev_set():

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sigver import siamese
+from sigver import parallel, siamese
 from sigver.dataset import Pair
 from sigver.lstm import lstm_forward_batch
 from sigver.siamese import (
@@ -208,11 +208,11 @@ def test_three_window_pairs_layout():
 
 
 def in_process(monkeypatch):
-    monkeypatch.setattr(siamese, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
 
 
 def pooled(monkeypatch) -> list:
-    """Let score_pairs use two workers and record the contexts it asks for."""
+    """Let fork_map use two CPUs and record the contexts it asks for."""
     asked = []
     get_context = multiprocessing.get_context
 
@@ -220,7 +220,7 @@ def pooled(monkeypatch) -> list:
         asked.append(method)
         return get_context(method)
 
-    monkeypatch.setattr(siamese, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     monkeypatch.setattr(multiprocessing, "get_context", spy)
     return asked
 
@@ -263,7 +263,7 @@ def test_one_window_or_other_threads_start_no_process(rng, monkeypatch):
     def no_pool(method=None):
         raise AssertionError("a pool was asked for")
 
-    monkeypatch.setattr(siamese, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     enroll = [random_seq(rng, int(rng.integers(5, 9))) for _ in range(4)]
     probe = random_seq(rng, 7)
@@ -271,6 +271,10 @@ def test_one_window_or_other_threads_start_no_process(rng, monkeypatch):
     seq_a, seq_b = three_window_pairs(rng, width=3)
     with pytest.raises(AssertionError, match="a pool was asked for"):
         score_pairs(model, seq_a, seq_b)
+    # nor on one usable CPU
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    assert score_pairs(model, seq_a, seq_b).shape == (212,)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     # nor while another thread runs, which a fork would not copy
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))
@@ -284,12 +288,12 @@ def test_one_window_or_other_threads_start_no_process(rng, monkeypatch):
 
 
 def test_scoring_while_a_module_imports_finishes(tmp_path):
-    """A pool started from a module that is still being imported must not
-    wait on that module: the worker function lives in sigver.siamese."""
+    """Processes forked from a module that is still being imported must
+    not wait on that module."""
     (tmp_path / "scored_at_import.py").write_text(
         "import numpy as np\n"
-        "from sigver import siamese\n"
-        "siamese._usable_cpus = lambda: 2\n"
+        "from sigver import parallel, siamese\n"
+        "parallel.usable_cpus = lambda: 2\n"
         "cfg = siamese.ModelConfig(n_features=3, branch_hidden=4, merge_hidden=3)\n"
         "model = siamese.init_model(cfg, np.random.default_rng(0))\n"
         "gen = np.random.default_rng(1)\n"
