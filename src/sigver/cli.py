@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -149,7 +150,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
               "jitter": "session_jitter", "noise": "forgery_noise",
               "min_duration": "min_duration", "max_duration": "max_duration"}
     cfg = SynthConfig(**{field: getattr(args, opt) for opt, field in fields.items()})
-    cfg.validate()
     out = Path(args.out)
     users, files = generate(cfg, out)
     (out / "synth.cfg").write_text(
@@ -175,6 +175,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    # both configs check their values when built, before any file is read
     model_cfg = ModelConfig(
         branch_hidden=args.branch_hidden,
         merge_hidden=args.merge_hidden,
@@ -190,8 +191,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         optimizer=args.optimizer,
         stop_below_cost=args.stop_below_cost,
     )
-    model_cfg.validate()
-    train_cfg.validate()  # both before any file is read
     split = _split_from_args(args)
     if len(split.development_users) < 2:
         raise UsageError(
@@ -260,7 +259,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError("--sffs-k must be at least 1")
     if args.det_points < 2:
         raise UsageError("--det-points must be at least 2")
+    # settings and the model file fail before any signature file is read
+    dtw_cfg = DtwConfig(args.columns or ALL_COLUMNS, args.band)
+    model = load_model(args.model) if args.model else None
     split = _split_from_args(args)
+    if not split.evaluation_users:
+        raise UsageError("evaluation needs at least 1 evaluation user, got 0")
     pairs = build_pairs(split, EVALUATION)
     n_genuine = sum(p.label for p in pairs)
     probes_genuine = len({(p.user_id, p.probe_index) for p in pairs if p.label == 1})
@@ -289,8 +293,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             print(f"{system} {row['protocol']} EER: {row['eer_percent']}% "
                   f"(threshold {row['threshold']})")
 
-    if args.model:
-        model = load_model(args.model)
+    if model is not None:
         scores = score_pairs(
             model,
             [features[p.enroll_key] for p in pairs],
@@ -299,7 +302,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         add_system("proposed", scores)
 
     if args.baseline:
-        columns = args.columns or ALL_COLUMNS
         if args.sffs:
             dev_features = _load_features(split.records(DEVELOPMENT))
             columns, steps = sffs_select(
@@ -308,8 +310,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
             write_sffs_report(out / "sffs_report.txt", steps, columns)
             print(f"selected columns: {','.join(str(c) for c in columns)}")
-        cfg = DtwConfig(selected_columns=columns, band=args.band)
-        add_system("baseline", score_pairs_dtw(pairs, features, cfg))
+            dtw_cfg = dataclasses.replace(dtw_cfg, selected_columns=columns)
+        add_system("baseline", score_pairs_dtw(pairs, features, dtw_cfg))
 
     write_results_csv(out / "results.csv", rows)
     write_det_csv(out / "det.csv", curves)

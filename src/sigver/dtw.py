@@ -30,7 +30,7 @@ class DtwConfig:
     selected_columns: tuple = ALL_COLUMNS
     band: int = 0  # 0 disables the |i-j| band constraint
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         cols = self.selected_columns
         if not cols:
             raise ValueError("selected_columns must be non-empty")
@@ -145,7 +145,6 @@ def _sweep(pairs: list, band: int) -> np.ndarray:
 
 def dtw_distance(a, b, cfg: DtwConfig = DtwConfig()) -> float:
     """Normalized alignment distance between two feature sequences."""
-    cfg.validate()
     cols = cfg.selected_columns
     pair = (_selected_values(a, cols), _selected_values(b, cols))
     return float(dtw_distances([pair], cfg.band)[0])
@@ -154,7 +153,6 @@ def dtw_distance(a, b, cfg: DtwConfig = DtwConfig()) -> float:
 def score_pairs_dtw(pairs: list, features: dict,
                     cfg: DtwConfig = DtwConfig()) -> np.ndarray:
     """DTW scores for a pair list, in pair order."""
-    cfg.validate()
     keys = {k for p in pairs for k in (p.enroll_key, p.probe_key)}
     values = {k: _selected_values(features[k], cfg.selected_columns) for k in keys}
     return -dtw_distances(

@@ -74,7 +74,7 @@ class ModelConfig:
     readout: str = "last"  # "last" | "mean"
     time_stride: int = 1  # keep every k-th feature row; a speed/fidelity trade
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.concat not in ("per_step", "final_state"):
             raise ValueError(f"unknown concat mode {self.concat!r}")
         if self.readout not in ("last", "mean"):
@@ -97,7 +97,6 @@ class SiameseModel:
     config: ModelConfig
 
     def validate(self) -> None:
-        self.config.validate()
         self.branch.validate()
         self.merge.validate()
         if self.branch.input_size != self.config.n_features:
@@ -125,7 +124,7 @@ class TrainConfig:
     optimizer: str = "adam"  # "adam" | "sgd"
     stop_below_cost: float = 0.0  # stop once mean cost drops under this; 0 disables
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not np.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.batch_size < 1:
@@ -141,7 +140,6 @@ class TrainConfig:
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator) -> SiameseModel:
-    config.validate()
     model = SiameseModel(
         branch=init_lstm(config.branch_hidden, config.n_features, rng),
         merge=init_lstm(config.merge_hidden, 2 * config.branch_hidden, rng),
@@ -374,7 +372,6 @@ def train(
     checkpoint kept is the one with the best 4vs1 EER; without a hook the
     best mean training cost wins. Fixed seed means a bit-identical run.
     """
-    cfg.validate()
     if not pairs:
         raise ValueError("empty pair list")
     data = [
@@ -515,8 +512,8 @@ def load_model(path) -> SiameseModel:
     except KeyError as exc:
         raise ModelFormatError(f"{path}: model file missing field {exc}") from exc
     # np.load signals corruption inconsistently: BadZipFile for broken
-    # archives, ValueError for things that are not npz at all; validate
-    # raises ValueError for weights of bad shape or non-finite entries
+    # archives, ValueError for things that are not npz at all; ModelConfig and
+    # validate raise ValueError for bad settings, shapes or non-finite weights
     except (zipfile.BadZipFile, OSError, ValueError, TypeError) as exc:
         raise ModelFormatError(f"{path}: cannot read model file ({exc})") from exc
     return model

@@ -50,14 +50,17 @@ class SynthConfig:
     min_duration: float = 1.5
     max_duration: float = 4.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("n_users", "n_sessions", "genuine_per_session", "forgeries_per_user"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.session_jitter < 0 or self.forgery_noise < 0:
-            raise ValueError("jitter and noise must be non-negative")
-        if not (0.1 <= self.min_duration <= self.max_duration):
-            raise ValueError("durations must satisfy 0.1 <= min <= max")
+        for name in ("session_jitter", "forgery_noise"):
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)}")
+        if not 0.1 <= self.min_duration <= self.max_duration < np.inf:
+            raise ValueError("durations must satisfy 0.1 <= min_duration <= max_duration "
+                             f"< inf, got {self.min_duration} and {self.max_duration}")
 
 
 @dataclass
@@ -162,7 +165,6 @@ def _make_record(cfg: SynthConfig, user: int, kind: SignatureKind,
 
 def generate_records(cfg: SynthConfig) -> list[SignatureRecord]:
     """The full corpus as in-memory records, deterministic in cfg."""
-    cfg.validate()
     records = []
     forgeries_per_session = -(-cfg.forgeries_per_user // cfg.n_sessions)
     for user in range(cfg.n_users):

@@ -581,6 +581,15 @@ def generate_zero_sessions(tmp, corpus):
             "error: n_sessions must be at least 1, got 0")
 
 
+def evaluate_no_evaluation_users(tmp, corpus):
+    return (["evaluate", "--data", corpus, "--baseline", "--dev-users", 5,
+             "--out", tmp / "r"], 2,
+            "usage error: evaluation needs at least 1 evaluation user, got 0")
+
+
+evaluate_no_evaluation_users.quiet = True
+
+
 def det_points_zero(tmp, corpus):
     return (["evaluate", "--data", corpus, "--baseline", "--det-points", 0,
              "--out", tmp], 2, "usage error: --det-points must be at least 2")
@@ -638,7 +647,7 @@ def model_empty_head_b(tmp, corpus):
     evaluate_without("sffs", "sffs-k", 2),
     evaluate_without("sffs", "sffs-pairs", 24),
     evaluate_without("sffs", "sffs-pairs", 24, config=True),
-    generate_zero_sessions,
+    generate_zero_sessions, evaluate_no_evaluation_users,
 ], ids=lambda case: case.__name__)
 def test_bad_input_is_one_line_error(case, corpus, tmp_path, capsys):
     argv, code, message = case(tmp_path, corpus)
@@ -650,3 +659,51 @@ def test_bad_input_is_one_line_error(case, corpus, tmp_path, capsys):
     assert err.startswith(message)
     if getattr(case, "quiet", False):
         assert captured.out == ""
+
+
+def test_no_evaluation_user_writes_nothing(corpus, tmp_path):
+    assert run("evaluate", "--data", corpus, "--baseline", "--dev-users", 5,
+               "--out", tmp_path / "r") == 2
+    assert not (tmp_path / "r").exists()
+
+
+BAD_SETTINGS = [
+    (["evaluate", "--baseline", "--columns", "0"], "columns must lie in 1..23, got (0,)"),
+    (["evaluate", "--baseline", "--columns", "1,1"], "selected_columns contains duplicates"),
+    (["evaluate", "--baseline", "--band", "-1"], "band must be >= 0"),
+    (["evaluate", "--model", "{tmp}/missing.npz"],
+     "{tmp}/missing.npz: cannot read model file ("),
+    (["train", "--batch-size", "0"], "batch_size must be at least 1, got 0"),
+    (["train", "--branch-hidden", "0"], "branch_hidden must be a positive integer, got 0"),
+    (["generate", "--jitter", "nan"], "session_jitter must be finite and non-negative, got nan"),
+    (["generate", "--min-duration", "inf", "--max-duration", "inf"],
+     "durations must satisfy 0.1 <= min_duration <= max_duration < inf, got inf and inf"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_SETTINGS,
+                         ids=[" ".join(argv) for argv, _ in BAD_SETTINGS])
+def test_bad_setting_fails_before_any_file_is_read(argv, message, tmp_path, capsys):
+    """The setting's own error, though --data does not exist, and no --out."""
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if argv[0] != "generate":
+        argv += ["--data", tmp_path / "no-such-corpus"]
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message.format(tmp=tmp_path)}")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cls, field, bad", [
+    (ModelConfig, "merge_hidden", 0), (TrainConfig, "batch_size", 0),
+    (SynthConfig, "session_jitter", float("nan")), (DtwConfig, "band", -1),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_configs_check_themselves_when_built(cls, field, bad):
+    assert not hasattr(cls, "validate")
+    with pytest.raises(ValueError, match=field):
+        cls(**{field: bad})
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(cls(), **{field: bad})

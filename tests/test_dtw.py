@@ -115,13 +115,13 @@ def test_input_validation(rng):
     with pytest.raises(ValueError, match="selection needs"):
         dtw_distance(np.zeros((4, 2)), np.zeros((4, 2)), THREE)
     with pytest.raises(ValueError, match="non-empty"):
-        DtwConfig(selected_columns=()).validate()
+        DtwConfig(selected_columns=())
     with pytest.raises(ValueError, match="duplicates"):
-        DtwConfig(selected_columns=(1, 1)).validate()
+        DtwConfig(selected_columns=(1, 1))
     with pytest.raises(ValueError, match="1..23"):
-        DtwConfig(selected_columns=(0, 5)).validate()
+        DtwConfig(selected_columns=(0, 5))
     with pytest.raises(ValueError, match="band"):
-        DtwConfig(selected_columns=(1,), band=-1).validate()
+        DtwConfig(selected_columns=(1,), band=-1)
 
 
 # --- the batched kernel ---

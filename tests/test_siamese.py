@@ -586,27 +586,27 @@ def test_training_log_format(tmp_path):
 
 def test_config_validation():
     with pytest.raises(ValueError, match="concat"):
-        dataclasses.replace(TINY, concat="sum").validate()
+        dataclasses.replace(TINY, concat="sum")
     with pytest.raises(ValueError, match="readout"):
-        dataclasses.replace(TINY, readout="max").validate()
+        dataclasses.replace(TINY, readout="max")
     with pytest.raises(ValueError, match="positive"):
-        dataclasses.replace(TINY, merge_hidden=0).validate()
+        dataclasses.replace(TINY, merge_hidden=0)
     with pytest.raises(ValueError, match="time_stride"):
-        dataclasses.replace(TINY, time_stride=0).validate()
+        dataclasses.replace(TINY, time_stride=0)
     with pytest.raises(ValueError):
-        TrainConfig(learning_rate=-1.0).validate()
+        TrainConfig(learning_rate=-1.0)
     with pytest.raises(ValueError, match="optimizer"):
-        TrainConfig(optimizer="rmsprop").validate()
+        TrainConfig(optimizer="rmsprop")
     with pytest.raises(ValueError, match="^batch_size must be at least 1, got 0$"):
-        TrainConfig(batch_size=0).validate()
+        TrainConfig(batch_size=0)
     for field, bad in [("patience", -1), ("clip_norm", -0.5), ("clip_norm", math.nan),
                        ("stop_below_cost", -1e-3), ("learning_rate", -1.0),
                        ("max_iterations", -1)]:
         with pytest.raises(ValueError, match=f"^{field} must be non-negative"):
-            TrainConfig(**{field: bad}).validate()
+            TrainConfig(**{field: bad})
     for rate in (math.nan, math.inf):
         with pytest.raises(ValueError, match="^learning_rate must be finite"):
-            TrainConfig(learning_rate=rate).validate()
-    TrainConfig(patience=0, clip_norm=0.0, stop_below_cost=0.0).validate()  # all off
-    TrainConfig().validate()
-    TINY.validate()
+            TrainConfig(learning_rate=rate)
+    TrainConfig(patience=0, clip_norm=0.0, stop_below_cost=0.0)  # all off
+    TrainConfig()
+    ModelConfig(**dataclasses.asdict(TINY))

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -141,7 +144,25 @@ def test_frozen_default_corpus_regression():
 
 def test_config_validation():
     with pytest.raises(ValueError, match="durations"):
-        SynthConfig(min_duration=3.0, max_duration=2.0).validate()
+        SynthConfig(min_duration=3.0, max_duration=2.0)
     with pytest.raises(ValueError, match="non-negative"):
-        SynthConfig(forgery_noise=-0.1).validate()
-    SynthConfig().validate()
+        SynthConfig(forgery_noise=-0.1)
+    SynthConfig()
+
+
+@pytest.mark.parametrize("field", ["session_jitter", "forgery_noise"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_amplitude_is_rejected(field, value):
+    message = f"^{field} must be finite and non-negative, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        SynthConfig(**{field: value})
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(SynthConfig(), **{field: value})
+
+
+@pytest.mark.parametrize("low, high", [(math.inf, math.inf), (1.5, math.inf),
+                                       (math.nan, 4.0), (1.5, math.nan)])
+def test_non_finite_duration_is_rejected(low, high):
+    with pytest.raises(ValueError, match=r"^durations must satisfy 0\.1 <= min_duration "
+                                         rf"<= max_duration < inf, got {low} and {high}$"):
+        SynthConfig(min_duration=low, max_duration=high)
