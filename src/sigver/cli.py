@@ -21,7 +21,6 @@ import numpy as np
 from .dataset import (
     DEVELOPMENT,
     EVALUATION,
-    ProtocolError,
     build_pairs,
     build_split,
     load_dataset,
@@ -40,7 +39,6 @@ from .metrics import (
 )
 from .siamese import (
     ModelConfig,
-    ModelFormatError,
     TrainConfig,
     TrainingDiverged,
     init_model,
@@ -50,7 +48,6 @@ from .siamese import (
     train,
     write_training_log,
 )
-from .svc import ParseError
 from .synth import SynthConfig, generate
 
 
@@ -255,8 +252,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             setattr(args, option, default)
     if args.sffs and args.columns is not None:
         raise UsageError("--columns and --sffs exclude each other")
-    if args.sffs and args.sffs_k < 1:
-        raise UsageError("--sffs-k must be at least 1")
+    for option in ("sffs_k", "sffs_pairs"):  # given only with --sffs, as checked above
+        if getattr(args, option) < 1:
+            raise UsageError(f"--{option.replace('_', '-')} must be at least 1")
     if args.det_points < 2:
         raise UsageError("--det-points must be at least 2")
     # settings and the model file fail before any signature file is read
@@ -451,9 +449,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ProtocolError, ModelFormatError, TrainingDiverged,
-            ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, TrainingDiverged) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -26,6 +26,11 @@ class ProtocolConfig:
     test_genuine_per_user: int = 12
     forgeries_per_user: int = 12
 
+    def __post_init__(self) -> None:
+        for name in ("enrollment_per_user", "test_genuine_per_user", "forgeries_per_user"):
+            if getattr(self, name) < 0:
+                raise ProtocolError(f"{name} must be non-negative, got {getattr(self, name)}")
+
 
 DEFAULT_PROTOCOL = ProtocolConfig()
 

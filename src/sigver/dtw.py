@@ -106,9 +106,10 @@ def _sweep(pairs: list, band: int) -> np.ndarray:
     for p, (a, b) in enumerate(pairs):
         c = cdist(a, b, "sqeuclidean")
         if band > 0:
-            # slope-corrected band: always wide enough to reach the far corner
+            # slope-corrected band: always wide enough to reach the far corner;
+            # a width of max(n, m) masks no cell, so a wider band is no band
             n, m = c.shape
-            width = max(band, abs(n - m))
+            width = min(max(band, abs(n - m)), max(n, m))
             c[~np.tri(n, m, width, dtype=bool) | np.tri(n, m, -width - 1, dtype=bool)] = np.inf
         cost.real[: c.shape[0], : c.shape[1], p] = c
     # diagonal[k, i] = cost[i, k - i]; every offset stays inside the buffer,

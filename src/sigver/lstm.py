@@ -37,6 +37,7 @@ to running every row at every step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,7 @@ def init_lstm(
     rng: np.random.Generator,
 ) -> LstmParams:
     """Uniform init in +-1/sqrt(fan-in); forget bias starts at 1."""
-    r = 1.0 / np.sqrt(hidden_size + input_size)
+    r = 1.0 / math.sqrt(hidden_size + input_size)  # also for sizes past int64
     b = np.zeros(4 * hidden_size)
     b[:hidden_size] = 1.0
     params = LstmParams(
@@ -141,7 +142,7 @@ def init_lstm(
 
 
 def init_dense(input_size: int, rng: np.random.Generator) -> DenseParams:
-    r = 1.0 / np.sqrt(input_size)
+    r = 1.0 / math.sqrt(input_size)
     return DenseParams(w=rng.uniform(-r, r, input_size), b=0.0)
 
 

@@ -49,7 +49,8 @@ def fork_map(fn, n: int) -> list:
     in the child. The children are daemons, so they never fork again.
     When pieces raise, the exception of the lowest failing index is
     raised, the one the in-process loop would raise; a child that dies
-    without a result raises a ``RuntimeError`` with its exit code.
+    without a result raises a ``ChildProcessError`` (an ``OSError``) with
+    its exit code.
     """
     workers = min(n, usable_cpus())
     if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
@@ -72,8 +73,9 @@ def fork_map(fn, n: int) -> list:
                 outcomes.append(recv.recv())
             except EOFError:
                 child.join()
-                raise RuntimeError(f"a worker process exited with code {child.exitcode} "
-                                   "before returning its results") from None
+                raise ChildProcessError(f"a worker process exited with code "
+                                        f"{child.exitcode} before returning its "
+                                        "results") from None
         failures = [(k, exc) for _, k, exc in outcomes if k is not None]
         if failures:
             raise min(failures, key=lambda f: f[0])[1]

@@ -130,7 +130,7 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         disabled_by_zero = ("patience", "clip_norm", "stop_below_cost")
-        for name in ("learning_rate", "max_iterations", *disabled_by_zero):
+        for name in ("learning_rate", "max_iterations", "seed", *disabled_by_zero):
             value = getattr(self, name)
             if not value >= 0:  # NaN fails too
                 zero = " (0 disables it)" if name in disabled_by_zero else ""

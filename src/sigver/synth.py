@@ -54,6 +54,8 @@ class SynthConfig:
         for name in ("n_users", "n_sessions", "genuine_per_session", "forgeries_per_user"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name in ("session_jitter", "forgery_noise"):
             if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and non-negative, "
@@ -184,10 +186,11 @@ def generate_records(cfg: SynthConfig) -> list[SignatureRecord]:
 
 def generate(cfg: SynthConfig, root) -> tuple[int, int]:
     """Write the corpus as an SVC directory tree; returns (users, files)."""
+    records = generate_records(cfg)  # a failure here leaves no directory behind
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     n_files = 0
-    for record in generate_records(cfg):
+    for record in records:
         user_dir = root / record.user_id
         user_dir.mkdir(exist_ok=True)
         (user_dir / record_filename(record)).write_bytes(emit_svc(record))

@@ -522,6 +522,16 @@ def sffs_pairs_one_class(tmp, corpus):
             "error: max_pairs=1 keeps development pairs of one class only")
 
 
+def sffs_pairs_below_one(value):
+    """A development pair budget below 1 fails before the corpus is read."""
+    def case(tmp, corpus):
+        return (["evaluate", "--data", corpus, "--baseline", "--sffs", "--sffs-pairs", value,
+                 "--out", tmp], 2, "usage error: --sffs-pairs must be at least 1")
+    case.__name__ = f"sffs_pairs_{value}"
+    case.quiet = True
+    return case
+
+
 def sffs_with_columns(tmp, corpus):
     return (["evaluate", "--data", corpus, "--baseline", "--sffs", "--columns", "4,5",
              "--out", tmp], 2, "usage error: --columns and --sffs exclude each other")
@@ -629,7 +639,8 @@ def model_empty_head_b(tmp, corpus):
     config_misspelt_flag, config_bad_choice, corpus_bad_session, corpus_bad_token,
     corpus_int64_overflow, manifest_bad_session, corpus_session_zero, manifest_session_zero,
     corpus_non_ascii_session, manifest_non_ascii_session, corpus_too_short,
-    corpus_duplicate_key, sffs_k_zero, sffs_pairs_one_class, det_points_zero,
+    corpus_duplicate_key, sffs_k_zero, sffs_pairs_one_class, sffs_pairs_below_one(0),
+    sffs_pairs_below_one(-5), det_points_zero,
     det_points_negative, model_float_stride, model_empty_head_b, sffs_with_columns,
     config_columns_with_sffs, config_empty_columns, dev_users_negative,
     train_with("--clip-norm", -1, "clip_norm must be non-negative (0 disables it), got -1.0"),
@@ -674,6 +685,8 @@ BAD_SETTINGS = [
     (["evaluate", "--model", "{tmp}/missing.npz"],
      "{tmp}/missing.npz: cannot read model file ("),
     (["train", "--batch-size", "0"], "batch_size must be at least 1, got 0"),
+    (["train", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["generate", "--seed", "-1"], "seed must be non-negative, got -1"),
     (["train", "--branch-hidden", "0"], "branch_hidden must be a positive integer, got 0"),
     (["generate", "--jitter", "nan"], "session_jitter must be finite and non-negative, got nan"),
     (["generate", "--min-duration", "inf", "--max-duration", "inf"],
@@ -700,6 +713,8 @@ def test_bad_setting_fails_before_any_file_is_read(argv, message, tmp_path, caps
 @pytest.mark.parametrize("cls, field, bad", [
     (ModelConfig, "merge_hidden", 0), (TrainConfig, "batch_size", 0),
     (SynthConfig, "session_jitter", float("nan")), (DtwConfig, "band", -1),
+    (SynthConfig, "seed", -1), (TrainConfig, "seed", -1),
+    (ProtocolConfig, "forgeries_per_user", -1),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
 def test_configs_check_themselves_when_built(cls, field, bad):
     assert not hasattr(cls, "validate")
@@ -707,3 +722,28 @@ def test_configs_check_themselves_when_built(cls, field, bad):
         cls(**{field: bad})
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(cls(), **{field: bad})
+
+
+@pytest.mark.parametrize("failure, line", [
+    (MemoryError(), "error: MemoryError"),
+    (MemoryError("Unable to allocate 608. GiB"), "error: Unable to allocate 608. GiB"),
+    (ChildProcessError("a worker process exited with code -9 before returning its "
+                       "results"),
+     "error: a worker process exited with code -9 before returning its results"),
+], ids=["bare-MemoryError", "MemoryError", "ChildProcessError"])
+def test_failure_kinds_end_in_one_line(failure, line, tmp_path, monkeypatch, capsys):
+    """Out of memory and a lost worker are failures, with the class name
+    standing in for an empty message."""
+    def fail(cfg, root):
+        raise failure
+    monkeypatch.setattr(cli, "generate", fail)
+    assert run("generate", "--users", 1, "--out", tmp_path / "c") == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_a_bug_keeps_its_traceback(tmp_path, monkeypatch):
+    def fail(cfg, root):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(cli, "generate", fail)
+    with pytest.raises(RecursionError):
+        run("generate", "--users", 1, "--out", tmp_path / "c")

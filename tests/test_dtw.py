@@ -107,6 +107,12 @@ def test_band_wide_enough_matches_unbanded(rng):
     assert np.isfinite(d) and d >= 0.0
 
 
+def test_band_wider_than_any_c_long_is_no_band(rng):
+    """A band past the longer sequence masks nothing, however large."""
+    pairs = mixed_pairs(rng)
+    assert dtw_distances(pairs, 2**63).tobytes() == dtw_distances(pairs, 0).tobytes()
+
+
 def test_input_validation(rng):
     with pytest.raises(ValueError, match="empty sequence"):
         dtw_distance(np.zeros((0, 3)), np.zeros((4, 3)), THREE)

@@ -70,7 +70,7 @@ def test_child_that_dies_without_a_result_is_reported(monkeypatch):
         return k
 
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    with pytest.raises(RuntimeError, match="exited with code 3 before returning"):
+    with pytest.raises(ChildProcessError, match="exited with code 3 before returning"):
         fork_map(piece, 4)
     assert multiprocessing.active_children() == []
 
