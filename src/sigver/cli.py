@@ -111,6 +111,12 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         action.required = False
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
 def _columns(text: str) -> tuple:
     try:
         cols = tuple(int(c) for c in text.split(",") if c.strip())
@@ -354,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="key = value defaults file; flags win")
+        p.add_argument("--config", type=_path, help="key = value defaults file; flags win")
 
     def add_seed(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=20240816,
@@ -373,22 +379,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="session-to-session variation")
     g.add_argument("--min-duration", type=float, default=1.5)
     g.add_argument("--max-duration", type=float, default=4.0)
-    g.add_argument("--out", required=True)
+    g.add_argument("--out", type=_path, required=True)
     g.set_defaults(func=cmd_generate)
 
     e = sub.add_parser("extract", help="write per-signature feature CSVs")
     common(e)
-    e.add_argument("--data", required=True, help="SVC dataset root")
-    e.add_argument("--manifest", default=None)
+    e.add_argument("--data", type=_path, required=True, help="SVC dataset root")
+    e.add_argument("--manifest", type=_path, default=None)
     e.add_argument("--raw", action="store_true", help="skip the per-signature z-score")
-    e.add_argument("--out", required=True)
+    e.add_argument("--out", type=_path, required=True)
     e.set_defaults(func=cmd_extract)
 
     t = sub.add_parser("train", help="train the verifier on development users")
     common(t)
     add_seed(t)
-    t.add_argument("--data", required=True)
-    t.add_argument("--manifest", default=None)
+    t.add_argument("--data", type=_path, required=True)
+    t.add_argument("--manifest", type=_path, default=None)
     t.add_argument("--dev-users", type=int, default=None,
                    help="development user count (default: 3/4 of users)")
     t.add_argument("--iterations", type=int, default=200)
@@ -403,15 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--stop-below-cost", type=float, default=0.05)
     t.add_argument("--dev-eval", action="store_true",
                    help="track development EER every iteration")
-    t.add_argument("--out", required=True)
+    t.add_argument("--out", type=_path, required=True)
     t.set_defaults(func=cmd_train)
 
     v = sub.add_parser("evaluate", help="score evaluation users")
     common(v)
-    v.add_argument("--data", required=True)
-    v.add_argument("--manifest", default=None)
+    v.add_argument("--data", type=_path, required=True)
+    v.add_argument("--manifest", type=_path, default=None)
     v.add_argument("--dev-users", type=int, default=None)
-    v.add_argument("--model", default=None, help="trained model file")
+    v.add_argument("--model", type=_path, default=None, help="trained model file")
     v.add_argument("--baseline", action="store_true",
                    help="also run the DTW reference system")
     v.add_argument("--sffs", action="store_true",
@@ -423,13 +429,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "23); excludes --sffs")
     v.add_argument("--band", type=int, help="DTW band |i-j| (default 0: none)")
     v.add_argument("--det-points", type=int, default=200)
-    v.add_argument("--out", required=True)
+    v.add_argument("--out", type=_path, required=True)
     v.set_defaults(func=cmd_evaluate)
 
     r = sub.add_parser("report", help="summarize results CSVs as a table")
     common(r)
-    r.add_argument("results", nargs="+", help="results.csv files")
-    r.add_argument("--out", default=None, help="also write the table here")
+    r.add_argument("results", type=_path, nargs="+", help="results.csv files")
+    r.add_argument("--out", type=_path, default=None, help="also write the table here")
     r.set_defaults(func=cmd_report)
 
     return parser

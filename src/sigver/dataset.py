@@ -209,6 +209,8 @@ def load_dataset(root: str | Path, manifest: str | Path | None = None) -> list[S
             for user_dir in sorted(p for p in root.iterdir() if p.is_dir())
             for svc_path in sorted(user_dir.glob("*.svc"))
         ]
+    if not entries:
+        raise ProtocolError(f"{root if manifest is None else manifest}: no signature files")
 
     sources: dict[str, str] = {}  # record key -> path or manifest line
     for source, _, user_id, kind, session, index in entries:

@@ -368,9 +368,11 @@ def train(
     ``pairs`` entries carry enroll_key/probe_key/label; ``features`` maps
     keys to feature sequences. One iteration is a full pass over the
     shuffled pair list. ``dev_eval_hook(model)``, when given, returns
-    (EER 1vs1, EER 4vs1) on held-out data after each iteration, and the
-    checkpoint kept is the one with the best 4vs1 EER; without a hook the
-    best mean training cost wins. Fixed seed means a bit-identical run.
+    (EER 1vs1, EER 4vs1) after each iteration on whatever pairs it scores
+    (``sigver train --dev-eval`` scores the training pairs themselves, so
+    no data is held out), and the checkpoint kept is the one with the
+    best 4vs1 EER; without a hook the best mean training cost wins.
+    Fixed seed means a bit-identical run.
     """
     if not pairs:
         raise ValueError("empty pair list")

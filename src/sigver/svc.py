@@ -12,8 +12,7 @@ ParseError. Two column layouts are accepted:
 Every token is an ASCII decimal integer, ``[+-]?[0-9]+``, within the
 int64 range; blank lines are skipped. Azimuth and altitude are parsed
 but discarded. Files without a pressure column get a constant pressure
-of 512 and are flagged ``pressure_free`` so downstream feature code can
-neutralise the pressure channels.
+of 512, which the per-signature z-score turns into zero channels.
 
 ``parse_svc`` reads a well-formed file in one vectorized pass and hands
 any other file to a line-by-line reader, which raises the ParseError.
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +56,7 @@ class SignatureRecord:
     """One captured signature as parallel per-sample arrays.
 
     x/y are device units, pressure is a 0..1023 level, timestamps are
-    milliseconds, pen_down is the button state. ``pressure_free`` marks
-    records whose source file had no pressure column.
+    milliseconds, pen_down is the button state.
     """
 
     x: np.ndarray
@@ -70,7 +68,6 @@ class SignatureRecord:
     session: int = 1
     kind: SignatureKind = SignatureKind.GENUINE
     sample_index: int = 0
-    pressure_free: bool = field(default=False)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.int64)
@@ -95,7 +92,6 @@ class SignatureRecord:
             and self.session == other.session
             and self.kind == other.kind
             and self.sample_index == other.sample_index
-            and self.pressure_free == other.pressure_free
             and np.array_equal(self.x, other.x)
             and np.array_equal(self.y, other.y)
             and np.array_equal(self.pressure, other.pressure)
@@ -113,8 +109,6 @@ class SignatureRecord:
             raise InvariantError("timestamps must be non-decreasing")
         if np.any(self.pressure < 0) or np.any(self.pressure > PRESSURE_MAX):
             raise InvariantError(f"pressure outside [0, {PRESSURE_MAX}]")
-        if self.pressure_free and np.any(self.pressure != DEFAULT_PRESSURE):
-            raise InvariantError("pressure-free record must hold the constant default pressure")
         if not 1 <= self.session:
             raise InvariantError("session must be a positive integer")
 
@@ -282,22 +276,17 @@ def parse_svc(
         session=session,
         kind=kind,
         sample_index=sample_index,
-        pressure_free=(n_cols == 4),
     )
 
 
 def emit_svc(record: SignatureRecord) -> bytes:
-    """Serialize a record back to SVC text (inverse of parse_svc).
+    """Serialize a record to SVC text; ``parse_svc(emit_svc(r)) == r``.
 
-    Pressure-free records are written in the 4-column layout; others in
-    the 7-column layout with zero azimuth/altitude.
+    Every record is written in the 7-column layout with zero azimuth and
+    altitude; one read from a 4-column file comes back as 7 columns.
     """
     out = [str(len(record))]
     buttons = record.pen_down.astype(np.int64)
-    if record.pressure_free:
-        for x, y, t, b in zip(record.x, record.y, record.timestamp, buttons):
-            out.append(f"{x} {y} {t} {b}")
-    else:
-        for x, y, t, b, p in zip(record.x, record.y, record.timestamp, buttons, record.pressure):
-            out.append(f"{x} {y} {t} {b} 0 0 {p}")
+    for x, y, t, b, p in zip(record.x, record.y, record.timestamp, buttons, record.pressure):
+        out.append(f"{x} {y} {t} {b} 0 0 {p}")
     return ("\n".join(out) + "\n").encode("ascii")

@@ -610,6 +610,27 @@ def det_points_negative(tmp, corpus):
              "--out", tmp], 2, "usage error: --det-points must be at least 2")
 
 
+def config_empty_path(command, key, *argv):
+    """An empty path in a --config file is rejected like an empty flag."""
+    def case(tmp, corpus):
+        cfg = tmp / "paths.cfg"
+        cfg.write_text(f"{key} =\n")
+        return ([command, "--config", cfg, *[str(a).format(corpus=corpus, tmp=tmp) for a in argv]],
+                2, f"usage error: {cfg}: bad value for {key}: empty path")
+    case.__name__ = f"config_empty_{key}_{command}"
+    case.quiet = True
+    return case
+
+
+def extract_empty_corpus(tmp, corpus):
+    (tmp / "empty").mkdir()
+    return (["extract", "--data", tmp / "empty", "--out", tmp / "f"], 1,
+            f"error: {tmp / 'empty'}: no signature files")
+
+
+extract_empty_corpus.quiet = True
+
+
 def bench_model_with(tmp, config=None, **members):
     """The benchmark's frozen model file with config keys or members replaced."""
     frozen = Path(__file__).resolve().parents[1] / "bench" / "model.npz"
@@ -659,6 +680,12 @@ def model_empty_head_b(tmp, corpus):
     evaluate_without("sffs", "sffs-pairs", 24),
     evaluate_without("sffs", "sffs-pairs", 24, config=True),
     generate_zero_sessions, evaluate_no_evaluation_users,
+    config_empty_path("generate", "out"),
+    config_empty_path("extract", "data", "--out", "{tmp}/f"),
+    config_empty_path("train", "manifest", "--data", "{corpus}", "--out", "{tmp}/m"),
+    config_empty_path("evaluate", "model", "--data", "{corpus}", "--out", "{tmp}/r"),
+    config_empty_path("report", "out", "{tmp}/results.csv"),
+    extract_empty_corpus,
 ], ids=lambda case: case.__name__)
 def test_bad_input_is_one_line_error(case, corpus, tmp_path, capsys):
     argv, code, message = case(tmp_path, corpus)
@@ -670,6 +697,35 @@ def test_bad_input_is_one_line_error(case, corpus, tmp_path, capsys):
     assert err.startswith(message)
     if getattr(case, "quiet", False):
         assert captured.out == ""
+
+
+EMPTY_PATHS = [
+    ["generate", "--config", "", "--out", "{out}"],
+    ["generate", "--out", ""],
+    ["extract", "--data", "", "--out", "{out}"],
+    ["extract", "--data", "{corpus}", "--manifest", "", "--out", "{out}"],
+    ["train", "--data", "{corpus}", "--out", ""],
+    ["evaluate", "--data", "{corpus}", "--model", "", "--baseline", "--out", "{out}"],
+    ["report", ""],
+    ["report", "{out}/results.csv", "--out", ""],
+]
+
+
+@pytest.mark.parametrize("argv", EMPTY_PATHS, ids=lambda argv: " ".join(argv))
+def test_empty_path_is_a_usage_error(argv, corpus, tmp_path, capsys):
+    """argparse rejects it, naming the option, before anything runs."""
+    out = tmp_path / "out"
+    argv = [a.format(corpus=corpus, out=out) for a in argv]
+    option = argv[argv.index("") - 1] if argv.index("") > 1 else "results"
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == (
+        f"sigver {argv[0]}: error: argument {option}: empty path")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_no_evaluation_user_writes_nothing(corpus, tmp_path):

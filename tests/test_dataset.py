@@ -305,3 +305,15 @@ def test_load_rejects_unknown_filename(tmp_path):
 def test_missing_root():
     with pytest.raises(ProtocolError):
         load_dataset("/nonexistent/dataset/root")
+
+
+@pytest.mark.parametrize("use_manifest", [False, True], ids=["root", "manifest"])
+def test_empty_corpus_is_an_error(tmp_path, use_manifest):
+    (tmp_path / "u0").mkdir()
+    (tmp_path / "u0" / "notes.txt").write_text("no signature here\n")
+    manifest = tmp_path / "index.tsv" if use_manifest else None
+    if use_manifest:
+        manifest.write_text("# path\tuser\tkind\tsession\tindex\n\n")
+    with pytest.raises(ProtocolError) as err:
+        load_dataset(tmp_path, manifest=manifest)
+    assert str(err.value) == f"{manifest or tmp_path}: no signature files"

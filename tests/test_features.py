@@ -105,12 +105,12 @@ def test_translation_invariance():
 
 
 def test_pressure_free_channels_are_zero(tiny_records):
-    rec = next(r for r in tiny_records if not r.pressure_free)
+    rec = tiny_records[0]
     free = SignatureRecord(
         x=rec.x, y=rec.y,
         pressure=np.full(len(rec), DEFAULT_PRESSURE, dtype=np.int64),
         timestamp=rec.timestamp, pen_down=rec.pen_down,
-        user_id=rec.user_id, pressure_free=True,
+        user_id=rec.user_id,
     )
     vals = extract_features(free).values
     assert np.array_equal(vals[:, COL["p"]], np.zeros(len(rec)))
@@ -254,14 +254,13 @@ def signature_records(draw):
     if constant in ("y", "both"):
         y[:] = y[0]
     offset = draw(st.sampled_from([0, 0, INT64_EDGE, -INT64_EDGE]))
-    pressure_free = draw(st.booleans())
-    if pressure_free:
+    if draw(st.booleans()):  # as read from a file without a pressure column
         pressure = np.full(n, DEFAULT_PRESSURE)
     else:
         pressure = rng.integers(0, 1024, n)
     record = SignatureRecord(
         x=x + offset, y=y - offset, pressure=pressure, timestamp=np.arange(n) * 10,
-        pen_down=np.ones(n, dtype=bool), user_id="h", pressure_free=pressure_free,
+        pen_down=np.ones(n, dtype=bool), user_id="h",
     )
     record.validate()
     return record

@@ -24,7 +24,6 @@ def test_minimal_two_sample_file():
     rec = parse_svc(MINIMAL)
     assert len(rec) == 2
     assert rec.pen_down.all()
-    assert rec.pressure_free
     assert np.array_equal(rec.pressure, [DEFAULT_PRESSURE, DEFAULT_PRESSURE])
     assert np.array_equal(rec.x, [0, 10])
     assert np.array_equal(rec.timestamp, [0, 10])
@@ -32,7 +31,6 @@ def test_minimal_two_sample_file():
 
 def test_seven_column_file_reads_pressure():
     rec = parse_svc("2\n1 2 0 1 900 550 300\n3 4 10 0 901 551 0\n")
-    assert not rec.pressure_free
     assert np.array_equal(rec.pressure, [300, 0])
     assert np.array_equal(rec.pen_down, [True, False])
 
@@ -184,10 +182,11 @@ def test_two_sample_record_emits_three_lines():
     assert emit_svc(rec).decode().count("\n") == 3
 
 
-def test_pressure_free_record_emits_four_columns():
+def test_four_column_record_emits_seven_columns_and_parses_back():
     rec = parse_svc(MINIMAL)
-    body = emit_svc(rec).decode().splitlines()[1]
-    assert len(body.split()) == 4
+    raw = emit_svc(rec)
+    assert [len(line.split()) for line in raw.decode().splitlines()] == [1, 7, 7]
+    assert parse_svc(raw) == rec
 
 
 def test_emit_parse_identity_on_120_samples():
@@ -221,8 +220,7 @@ def records(draw):
     ints = lambda lo, hi: st.lists(
         st.integers(lo, hi), min_size=n, max_size=n
     )
-    pressure_free = draw(st.booleans())
-    if pressure_free:
+    if draw(st.booleans()):  # as read from a file without a pressure column
         pressure = [DEFAULT_PRESSURE] * n
     else:
         pressure = draw(ints(0, 1023))
@@ -237,7 +235,6 @@ def records(draw):
         session=draw(st.integers(1, 4)),
         kind=draw(st.sampled_from(list(SignatureKind))),
         sample_index=draw(st.integers(0, 30)),
-        pressure_free=pressure_free,
     )
 
 
@@ -331,10 +328,13 @@ MUTATIONS = [_odd_token, _decreasing_timestamp, _bad_pressure, _five_columns,
 def svc_files(draw):
     """An emitted record's file after 0-3 mutations, in varied layout.
 
-    Returns the input and whether the vectorized parse must accept it:
-    only token mutations and ``\\r\\n`` line ends send a file to the loop.
+    Half the files are cut to the 4-column layout. Returns the input and
+    whether the vectorized parse must accept it: only token mutations
+    and ``\\r\\n`` line ends send a file to the loop.
     """
     rows = [line.split() for line in emit_svc(draw(records())).decode().splitlines()]
+    if draw(st.booleans()):
+        rows = rows[:1] + [row[:4] for row in rows[1:]]
     mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=3))
     for mutate in mutations:
         mutate(draw, rows)
@@ -457,12 +457,6 @@ class TestRecordInvariants:
     def test_pressure_range(self):
         with pytest.raises(InvariantError):
             _valid_record(pressure=np.array([5, 2000, 5])).validate()
-
-    def test_pressure_free_requires_constant(self):
-        rec = _valid_record()
-        rec.pressure_free = True
-        with pytest.raises(InvariantError):
-            rec.validate()
 
     def test_session_positive(self):
         rec = _valid_record()

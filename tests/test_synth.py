@@ -15,7 +15,7 @@ from sigver.dataset import (
 from sigver.dtw import DtwConfig, score_pairs_dtw
 from sigver.features import extract_features
 from sigver.metrics import aggregate_4vs1, compute_eer, make_score_set
-from sigver.svc import SignatureKind, parse_svc
+from sigver.svc import DEFAULT_PRESSURE, SignatureKind, parse_svc
 from sigver.synth import (
     SAMPLE_RATE,
     SynthConfig,
@@ -84,7 +84,7 @@ def test_records_are_well_formed(tiny_records):
         assert 150 * 0.95 <= n <= 400 * 1.05  # 1.5..4 s at 100 Hz, small warp slack
         assert np.all(np.diff(rec.timestamp) == 1000 // SAMPLE_RATE)
         assert np.all((rec.pressure >= 0) & (rec.pressure <= 1023))
-        assert not rec.pressure_free
+        assert np.any(rec.pressure != DEFAULT_PRESSURE)  # synth signatures carry pressure
 
 
 def test_every_signature_lifts_the_pen(tiny_records):
