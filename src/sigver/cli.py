@@ -94,21 +94,30 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         if key not in valid or key in ("help", "config"):
             raise UsageError(f"{known.config}: unknown option {key!r}")
         action = valid[key]
-        parsed: object = text
         try:
             if isinstance(action, argparse._StoreTrueAction):
                 if text.lower() not in _FLAG_WORDS:
                     raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
-                parsed = _FLAG_WORDS[text.lower()]
-            elif action.type is not None:
-                parsed = action.type(text)
-            if action.choices is not None and parsed not in action.choices:
-                raise ValueError(f"invalid choice {text!r} (choose from "
-                                 f"{', '.join(map(str, action.choices))})")
+                parsed: object = _FLAG_WORDS[text.lower()]
+            elif action.nargs == "+":  # a list: whitespace-separated items
+                parsed = [_config_value(action, item) for item in text.split()]
+                if not parsed:
+                    raise ValueError("expected at least one value")
+            else:
+                parsed = _config_value(action, text)
         except (argparse.ArgumentTypeError, ValueError) as exc:
             raise UsageError(f"{known.config}: bad value for {key}: {exc}") from exc
         sub.set_defaults(**{key: parsed})
         action.required = False
+
+
+def _config_value(action: argparse.Action, text: str) -> object:
+    """One config-file value, converted and checked as its option would be."""
+    parsed = text if action.type is None else action.type(text)
+    if action.choices is not None and parsed not in action.choices:
+        raise ValueError(f"invalid choice {text!r} (choose from "
+                         f"{', '.join(map(str, action.choices))})")
+    return parsed
 
 
 def _path(text: str) -> str:

@@ -19,6 +19,13 @@ Past its length a row keeps its state and emits the carried output, so
 trailing padding never changes the numbers computed at valid steps, bit
 for bit. Any other mask is a ValueError.
 
+Its one recurrence, ``lstm_forward_steps``, takes time-major inputs and
+two hooks, so a pipeline can feed a layer step by step and pass each
+step's outputs on as soon as they exist; the gradient is the backward
+loop (``lstm_backward_steps``) followed by two whole-run products
+(``lstm_param_grads``, ``lstm_input_grads``), which a pipeline can run
+apart and in either order.
+
 The recurrence is packed by length. The engine sorts the rows longest
 first, so at step t the rows still running are a prefix of the batch,
 and it does every elementwise operation of the step on that prefix
@@ -146,11 +153,20 @@ def init_dense(input_size: int, rng: np.random.Generator) -> DenseParams:
     return DenseParams(w=rng.uniform(-r, r, input_size), b=0.0)
 
 
+def row_order(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, inverse) of the engine's row order: longest first, ties in
+    caller order. Row k of a step's output, as ``on_step`` sees it, is
+    caller row ``order[k]``; caller row b is engine row ``inverse[b]``."""
+    order = np.argsort(-np.asarray(lengths), kind="stable")
+    return order, np.argsort(order)
+
+
 def lstm_forward_batch(
     params: LstmParams,
     inputs: np.ndarray,
     mask: np.ndarray | None = None,
     keep_cache: bool = True,
+    on_step=None,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict | None]:
     """Run B sequences of length T through the layer from zero state.
 
@@ -159,13 +175,14 @@ def lstm_forward_batch(
     The cache feeds lstm_backward_batch. With ``keep_cache=False`` the
     per-step gates and cell states are not kept, which saves most of the
     memory of a scoring pass, and the cache is None; the outputs are the
-    same bit for bit.
+    same bit for bit. ``on_step(t, rows)``, when given, sees each step's
+    outputs as soon as the step is done, in the engine's row order (see
+    ``row_order``).
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3:
         raise ValueError(f"inputs must be (B, T, D), got shape {inputs.shape}")
     n_batch, n_steps, d = inputs.shape
-    h_size = params.hidden_size
     if d != params.input_size:
         raise ValueError(f"input size {d} != parameter input size {params.input_size}")
     if mask is None:
@@ -176,8 +193,31 @@ def lstm_forward_batch(
     lengths = np.count_nonzero(mask, axis=1)
     if not np.array_equal(mask, np.arange(n_steps) < lengths[:, None]):
         raise ValueError("mask must be a prefix mask: each row True then False")
-    order = np.argsort(-lengths, kind="stable")  # longest first
-    inv = np.argsort(order)
+    inputs_t = np.ascontiguousarray(inputs.transpose(1, 0, 2))
+    return lstm_forward_steps(params, inputs_t, lengths, keep_cache, on_step=on_step)
+
+
+def lstm_forward_steps(
+    params: LstmParams,
+    inputs_t: np.ndarray,
+    lengths: np.ndarray,
+    keep_cache: bool = True,
+    before_step=None,
+    on_step=None,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict | None]:
+    """The recurrence of ``lstm_forward_batch``, on time-major inputs.
+
+    inputs_t: (T, B, D) in caller row order; lengths: (B,) valid steps per
+    row. Step t reads ``inputs_t[t]`` only when it starts, after
+    ``before_step(t)`` has returned, so a caller can fill the step's rows
+    there. ``on_step(t, rows)`` sees the step's outputs as soon as the
+    step is done, in the engine's row order. Returns what
+    ``lstm_forward_batch`` returns; the cache keeps ``inputs_t``.
+    """
+    n_steps, n_batch, d = inputs_t.shape
+    h_size = params.hidden_size
+    mask = np.arange(n_steps) < np.asarray(lengths)[:, None]
+    order, inv = row_order(lengths)
     active = np.count_nonzero(mask, axis=0).tolist()  # rows longer than t
 
     # Splitting W keeps the per-step products at a fixed shape, so a run
@@ -188,7 +228,6 @@ def lstm_forward_batch(
     h = np.zeros((n_batch, h_size))
     C = np.zeros((n_batch, h_size))
 
-    inputs_t = np.ascontiguousarray(inputs.transpose(1, 0, 2))
     x = np.empty((n_batch, d))
     out_s = np.empty((n_steps, n_batch, h_size))
     kept = n_steps if keep_cache else 1  # without a cache, step t reuses slot 0
@@ -199,6 +238,8 @@ def lstm_forward_batch(
     rec = np.empty_like(pre)
 
     for t in range(n_steps):
+        if before_step is not None:
+            before_step(t)
         a = active[t]
         np.take(inputs_t[t], order, axis=0, out=x, mode="clip")
         np.matmul(x, W_xT, out=pre)
@@ -216,6 +257,8 @@ def lstm_forward_batch(
         C[:a] = f * C[:a] + i * g
         np.multiply(o, np.tanh(C[:a], out=c_tanh[slot, :a]), out=h[:a])
         out_s[t] = h
+        if on_step is not None:
+            on_step(t, out_s[t])
 
     cache = {
         "gates": gates, "c_prev": c_prev, "c_tanh": c_tanh, "out_s": out_s,
@@ -240,9 +283,19 @@ def lstm_backward_batch(
     Returns (parameter gradients shaped like params, input gradients
     (B, T, D), or None with ``input_grad=False``). Masked steps contribute
     nothing to parameter or input gradients; their upstream gradient
-    flows back to the carried state.
+    flows back to the carried state. It is ``lstm_backward_steps``, then
+    ``lstm_param_grads`` and ``lstm_input_grads`` on its result.
     """
-    h_size, d = cache["hidden"], cache["input"]
+    dpre = lstm_backward_steps(cache, grad_outputs)
+    grads = lstm_param_grads(cache, dpre)
+    return grads, lstm_input_grads(cache, dpre) if input_grad else None
+
+
+def lstm_backward_steps(cache: dict, grad_outputs: np.ndarray) -> np.ndarray:
+    """The backward recurrence: the gate pre-activation gradients of every
+    step, (T, B, 4H) in caller row order, from which the whole-run
+    products of ``lstm_param_grads`` and ``lstm_input_grads`` follow."""
+    h_size = cache["hidden"]
     n_steps, n_batch = cache["mask_t"].shape
     grad_outputs = np.asarray(grad_outputs, dtype=np.float64)
     if grad_outputs.shape != (n_batch, n_steps, h_size):
@@ -282,20 +335,32 @@ def lstm_backward_batch(
         np.matmul(dpre[t], W_h, out=rec)
         np.take(rec, order[:a], axis=0, out=dh_a, mode="clip")
         np.multiply(dCt, f, out=dC[:a])
+    return dpre
 
+
+def lstm_param_grads(cache: dict, dpre: np.ndarray) -> LstmParams:
+    """dW and db of a run, from the gradients of ``lstm_backward_steps``."""
+    n_steps, n_batch, _ = dpre.shape
+    h_size, d = cache["hidden"], cache["input"]
     flat = dpre.reshape(n_steps * n_batch, 4 * h_size)
     h_prev = np.zeros((n_steps, n_batch, h_size))  # the state before step 0 is zero
-    np.take(cache["out_s"][:-1], inv, axis=1, out=h_prev[1:], mode="clip")
+    np.take(cache["out_s"][:-1], cache["inv"], axis=1, out=h_prev[1:], mode="clip")
     dW_h = flat.T @ h_prev.reshape(n_steps * n_batch, h_size)
     dW_x = flat.T @ cache["inputs_t"].reshape(n_steps * n_batch, d)
-    dW = np.concatenate([dW_h, dW_x], axis=1)
-    db = dpre.sum(axis=(0, 1))
-    if not input_grad:
-        return LstmParams(dW, db), None
-    dinputs = np.ascontiguousarray(
-        (flat @ cache["W_xT"].T).reshape(n_steps, n_batch, d).transpose(1, 0, 2)
+    return LstmParams(np.concatenate([dW_h, dW_x], axis=1), dpre.sum(axis=(0, 1)))
+
+
+def lstm_input_grads(cache: dict, dpre: np.ndarray) -> np.ndarray:
+    """(B, T, D) gradient on a run's inputs, from ``lstm_backward_steps``.
+
+    One product over the whole run: a product per step has another row
+    count, and OpenBLAS does not always give a row the same bits then.
+    """
+    n_steps, n_batch, _ = dpre.shape
+    flat = dpre.reshape(n_steps * n_batch, 4 * cache["hidden"])
+    return np.ascontiguousarray(
+        (flat @ cache["W_xT"].T).reshape(n_steps, n_batch, cache["input"]).transpose(1, 0, 2)
     )
-    return LstmParams(dW, db), dinputs
 
 
 def clip_global_norm(grad: np.ndarray, max_norm: float) -> tuple[np.ndarray, float]:

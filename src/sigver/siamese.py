@@ -7,26 +7,32 @@ structural rather than a synchronized copy. Scores are symmetrized by
 default (mean over both presentation orders); pairs of different length
 are padded with masked steps, which the LSTM engine treats as no-ops.
 
-Training (batch_loss_grads) and scoring (score_pairs) are the two ways
-into the network, and both compose the same two stages: _encode runs the
-branch, _merge_and_head the merge LSTM and the readout. A training batch
-of n pairs encodes 2n branch rows: the n first signatures, then the n
-second ones. A branch row does not depend on the pair it is in, so
-scoring encodes each distinct signature once per window of consecutive
-pair batches (see _windows). Windows share no data, so score_pairs can
-score them in forked processes (see parallel). Merge row r reads branch rows
-``left[r]`` and ``right[r]``: rows 0..n-1 read pair r as (a, b) and,
-when symmetric, rows n..2n-1 read it as (b, a). The concat mode only
-chooses which steps the merge reads: all of them (per_step) or the last
-one (final_state). The backward pass adds the merge input gradient back
-through the same index arrays, so the variants differ in data, not in
-code paths.
+Merge row r reads branch rows ``left[r]`` and ``right[r]`` (see
+_wiring): of n pairs, rows 0..n-1 read pair r as (a, b) and, when
+symmetric, rows n..2n-1 read it as (b, a). The concat mode only chooses
+which steps the merge reads: all of them (per_step) or the last one
+(final_state). So the variants differ in data, not in code paths.
+
+Scoring (score_pairs) encodes each distinct signature once per window of
+consecutive pair batches (see _windows), because a branch row does not
+depend on the pair it is in. Windows share no data, so score_pairs can
+score them in forked processes (see parallel.fork_map).
+
+Training (batch_loss_grads, train) encodes 2n branch rows per batch of n
+pairs: the n first signatures, then the n second ones. It is a pipeline
+of two stages (see _MergeStage): the caller runs the branch LSTM and the
+optimizer, and the merge stage, in a forked worker when parallel.may_fork
+allows it, runs the merge LSTM one step behind the branch, then the
+head, the loss and the merge's backward pass. Every BLAS call keeps its
+operands and its shape wherever it runs, so a model trained with the
+worker has the bits of one trained without it.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import mmap
 import time
 import zipfile
 from dataclasses import asdict, dataclass
@@ -41,11 +47,16 @@ from .lstm import (
     init_lstm,
     join_gates,
     lstm_backward_batch,
+    lstm_backward_steps,
     lstm_forward_batch,
+    lstm_forward_steps,
+    lstm_input_grads,
+    lstm_param_grads,
+    row_order,
     sigmoid,
     split_gates,
 )
-from .parallel import fork_map
+from .parallel import Worker, fork_map
 
 MODEL_FORMAT = "sigver-model-v1"
 SCORE_CLAMP = 1e-12
@@ -186,9 +197,9 @@ def _seq_values(seq) -> np.ndarray:
     return values
 
 
-def _encode(model: SiameseModel, seqs: list, keep_cache: bool):
-    """Branch LSTM outputs (B, T, H), lengths and cache of B sequences. Past
-    its length a row repeats its final output (the engine's masked step)."""
+def _branch_inputs(model: SiameseModel, seqs: list):
+    """Branch LSTM inputs (B, T, F) of B sequences, zero-padded, with their
+    prefix mask (B, T) and lengths (B,)."""
     cfg = model.config
     values = [_seq_values(s)[:: cfg.time_stride] for s in seqs]
     lengths = np.array([v.shape[0] for v in values], dtype=np.int64)
@@ -197,80 +208,173 @@ def _encode(model: SiameseModel, seqs: list, keep_cache: bool):
         if v.shape[1] != cfg.n_features:
             raise ValueError(f"expected {cfg.n_features} feature columns, got {v.shape[1]}")
         branch_in[k, : v.shape[0]] = v
-    branch_mask = np.arange(branch_in.shape[1]) < lengths[:, None]
-    out, _, cache = lstm_forward_batch(model.branch, branch_in, branch_mask, keep_cache)
-    return out, lengths, cache
+    return branch_in, np.arange(branch_in.shape[1]) < lengths[:, None], lengths
 
 
-def _merge_and_head(model: SiameseModel, branch_out: np.ndarray, lengths: np.ndarray,
-                    rows_a: np.ndarray, rows_b: np.ndarray, keep_cache: bool):
-    """Score pair r from branch rows ``rows_a[r]`` and ``rows_b[r]``; returns
-    (scores, directed sigmoids, context). The context carries what
-    _backward_pairs needs; with ``keep_cache=False`` its merge cache is None."""
-    cfg = model.config
-    n = rows_a.size
+def _wiring(cfg: ModelConfig, lengths: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray):
+    """What the merge reads for pairs (``rows_a[r]``, ``rows_b[r]``) of branch
+    rows: (left, right, merge_len, first). Merge row r reads branch rows
+    ``left[r]`` and ``right[r]`` and is valid for ``merge_len[r]`` steps;
+    merge step t reads branch step ``first + t``. Past its length a branch
+    row repeats its final output (the engine's masked step)."""
     left = np.concatenate([rows_a, rows_b]) if cfg.symmetric else rows_a
     right = np.concatenate([rows_b, rows_a]) if cfg.symmetric else rows_b
     if cfg.concat == "per_step":
-        merge_len = np.maximum(lengths[left], lengths[right])
-        steps = slice(None, int(merge_len.max()))
-    else:  # final_state: one merge step over the two final block outputs
-        steps = slice(-1, None)
-        merge_len = np.ones(left.size, dtype=np.int64)
+        return left, right, np.maximum(lengths[left], lengths[right]), 0
+    # final_state: one merge step over the two final block outputs
+    return left, right, np.ones(left.size, dtype=np.int64), int(lengths.max()) - 1
+
+
+def _head(model: SiameseModel, merge_out: np.ndarray, merge_len: np.ndarray):
+    """(readout, directed scores) of the merge outputs (B, T, H)."""
+    if model.config.readout == "last":
+        readout = merge_out[np.arange(merge_len.size), merge_len - 1]
+    else:
+        merge_mask = np.arange(merge_out.shape[1]) < merge_len[:, None]
+        readout = (merge_out * merge_mask[:, :, None]).sum(axis=1) / merge_len[:, None]
+    return readout, sigmoid(readout @ model.head.w + model.head.b)
+
+
+def _score_slice(model: SiameseModel, branch_out: np.ndarray, lengths: np.ndarray,
+                 rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """Scores of pairs (``rows_a[r]``, ``rows_b[r]``) of encoded branch rows."""
+    left, right, merge_len, first = _wiring(model.config, lengths, rows_a, rows_b)
+    steps = slice(first, first + int(merge_len.max()))
     merge_in = np.concatenate([branch_out[left, steps], branch_out[right, steps]], axis=2)
     merge_mask = np.arange(merge_in.shape[1]) < merge_len[:, None]
+    merge_out, _, _ = lstm_forward_batch(model.merge, merge_in, merge_mask, keep_cache=False)
+    return _head(model, merge_out, merge_len)[1].reshape(-1, rows_a.size).mean(axis=0)
 
-    merge_out, _, merge_cache = lstm_forward_batch(model.merge, merge_in, merge_mask,
-                                                   keep_cache=keep_cache)
-    if cfg.readout == "last":
-        readout = merge_out[np.arange(left.size), merge_len - 1]
-    else:
-        readout = (merge_out * merge_mask[:, :, None]).sum(axis=1) / merge_len[:, None]
 
-    z = readout @ model.head.w + model.head.b
-    s_directed = sigmoid(z)
+def _loss(labels: np.ndarray, s_directed: np.ndarray):
+    """(mean pair loss, scores, gradient on the directed score logits).
+
+    The gradient treats the clamp inside the logarithms as constant, so
+    saturated scores still produce bounded, non-zero updates.
+    """
+    n = labels.size
     scores = s_directed.reshape(-1, n).mean(axis=0)
+    s_c = np.clip(scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
+    losses = -(labels * np.log(s_c) + (1.0 - labels) * np.log(1.0 - s_c))
+    dloss_dscore = (-labels / s_c + (1.0 - labels) / (1.0 - s_c)) / n
+    orders = s_directed.size // n
+    dz = np.tile(dloss_dscore, orders) / orders * s_directed * (1.0 - s_directed)
+    return float(losses.mean()), scores, dz
 
-    context = {"left": left, "right": right, "steps": steps, "merge_cache": merge_cache,
-               "merge_mask": merge_mask, "merge_len": merge_len, "readout": readout,
-               "merge_out_shape": merge_out.shape, "branch_out_shape": branch_out.shape}
-    return scores, s_directed, context
 
+def _add_merge_input_grad(grad_steps: np.ndarray, merge_din: np.ndarray, n: int,
+                          symmetric: bool) -> None:
+    """``grad_steps[left] += merge_din[..., :H]``, then ``grad_steps[right] +=
+    merge_din[..., H:]``, for the wiring of a training batch of n pairs.
 
-def _backward_pairs(model: SiameseModel, context: dict, branch_cache: dict,
-                    dz: np.ndarray) -> np.ndarray:
-    """Backprop from per-directed-run score-logit gradients to a flat vector,
-    given the context of _merge_and_head and the cache of _encode."""
-    cfg = model.config
-    hb = model.branch.hidden_size
-    readout = context["readout"]
-
-    dhead_w = readout.T @ dz
-    dhead_b = float(dz.sum())
-    dreadout = dz[:, None] * model.head.w[None, :]
-
-    grad_merge_out = np.zeros(context["merge_out_shape"])
-    merge_len = context["merge_len"]
-    if cfg.readout == "last":
-        grad_merge_out[np.arange(dz.shape[0]), merge_len - 1] = dreadout
+    There ``left`` is ``arange(2n)`` (``arange(n)`` when not symmetric)
+    and ``right`` is its rotation by n, so slice adds give every element
+    the same additions in the same order as the fancy-index form, and so
+    the same bits, at a fraction of the cost.
+    """
+    hb = merge_din.shape[2] // 2
+    grad_steps[: merge_din.shape[0]] += merge_din[..., :hb]
+    if symmetric:
+        grad_steps[n:] += merge_din[:n, :, hb:]
+        grad_steps[:n] += merge_din[n:, :, hb:]
     else:
-        grad_merge_out[:] = ((dreadout / merge_len[:, None])[:, None, :]
-                             * context["merge_mask"][:, :, None])
+        grad_steps[n:] += merge_din[..., hb:]
 
-    merge_grads, merge_din = lstm_backward_batch(
-        model.merge, context["merge_cache"], grad_merge_out
-    )
 
-    grad_branch_out = np.zeros(context["branch_out_shape"])
-    grad_steps = grad_branch_out[:, context["steps"]]
-    grad_steps[context["left"]] += merge_din[..., :hb]
-    grad_steps[context["right"]] += merge_din[..., hb:]
+class _MergeStage:
+    """The merge LSTM, the head and the loss of training batches: the second
+    stage of a pipeline whose first is the branch LSTM (see
+    batch_loss_grads). ``worker`` (a parallel.Worker) runs its calls.
 
-    branch_grads, _ = lstm_backward_batch(
-        model.branch, branch_cache, grad_branch_out, input_grad=False
-    )
-    return pack_params(SiameseModel(branch_grads, merge_grads,
-                                    DenseParams(dhead_w, dhead_b), model.config))
+    The stage and the caller share one anonymous memory map, made before
+    the worker forks: the parameters, the branch outputs step by step, the
+    gradient on the branch outputs, and the merge and head gradients. A
+    batch runs in three phases:
+
+    1. The caller writes the parameters, submits ``forward`` and runs the
+       branch forward, publishing each step and posting it to the worker.
+       The merge gathers its step t as soon as branch step ``first + t``
+       is posted (see _wiring), so it runs one step behind the branch;
+       then come the head, the loss and dz.
+    2. ``forward`` goes on with the merge backward loop and the whole-run
+       input-gradient product, adds the result into the branch-output
+       gradient, and returns (loss, scores). The caller waits.
+    3. The caller runs the branch backward while ``param_grads`` reduces
+       the merge's dW and db and the head gradients.
+
+    The backward pass is not pipelined: the branch's step t would need the
+    merge input gradient at step t, a product per step in place of the
+    whole-run one, and at small batch heights OpenBLAS gives such rows
+    other bits.
+    """
+
+    def __init__(self, model: SiameseModel, max_rows: int, max_steps: int) -> None:
+        self.model = model  # the shapes and config; the parameters come per batch
+        n_params = pack_params(model).size
+        n_tail = n_params - model.branch.W.size - model.branch.b.size  # merge and head
+        n_out = max_rows * max_steps * model.config.branch_hidden
+        memory = np.frombuffer(mmap.mmap(-1, 8 * (n_params + n_tail + 2 * n_out)),
+                               dtype=np.float64)
+        self.params, self.grads, self._out, self._grad_out = np.split(
+            memory, np.cumsum([n_params, n_tail, n_out]))
+        self.worker = Worker(self)
+        self._saved = None
+
+    def views(self, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A batch's branch outputs by step (T, B, H) in the engine's row order
+        (see lstm.row_order) and the gradient on them (B, T, H)."""
+        rows, steps = lengths.size, int(lengths.max())
+        size = rows * steps * self.model.config.branch_hidden
+        return (self._out[:size].reshape(steps, rows, -1),
+                self._grad_out[:size].reshape(rows, steps, -1))
+
+    def forward(self, lengths: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+        """Phases 1 and 2 of a batch, on the worker's side."""
+        model = unpack_params(self.model, self.params)
+        cfg = model.config
+        n, hb = labels.size, cfg.branch_hidden
+        left, right, merge_len, first = _wiring(cfg, lengths, np.arange(n), np.arange(n, 2 * n))
+        inv = row_order(lengths)[1]
+        from_left, from_right = inv[left], inv[right]
+        out, grad_out = self.views(lengths)
+        merge_in_t = np.empty((int(merge_len.max()), left.size, 2 * hb))
+        posted = 0
+
+        def gather(t: int) -> None:
+            nonlocal posted
+            while posted <= first + t:  # every branch row is in left, so the
+                self.worker.wait()      # last merge step takes the last post
+                posted += 1
+            merge_in_t[t, :, :hb] = out[first + t, from_left]
+            merge_in_t[t, :, hb:] = out[first + t, from_right]
+
+        merge_out, _, cache = lstm_forward_steps(model.merge, merge_in_t, merge_len,
+                                                 before_step=gather)
+        readout, s_directed = _head(model, merge_out, merge_len)
+        loss, scores, dz = _loss(labels, s_directed)
+
+        dreadout = dz[:, None] * model.head.w[None, :]
+        grad_merge_out = np.zeros(merge_out.shape)
+        if cfg.readout == "last":
+            grad_merge_out[np.arange(dz.size), merge_len - 1] = dreadout
+        else:
+            merge_mask = np.arange(merge_out.shape[1]) < merge_len[:, None]
+            grad_merge_out[:] = ((dreadout / merge_len[:, None])[:, None, :]
+                                 * merge_mask[:, :, None])
+        dpre = lstm_backward_steps(cache, grad_merge_out)
+        grad_out.fill(0.0)
+        _add_merge_input_grad(grad_out[:, first : first + merge_in_t.shape[0]],
+                              lstm_input_grads(cache, dpre), n, cfg.symmetric)
+        self._saved = cache, dpre, readout, dz
+        return loss, scores
+
+    def param_grads(self) -> None:
+        """Phase 3 on the worker's side: the merge and head gradients, in
+        the order of pack_params, into ``grads``."""
+        cache, dpre, readout, dz = self._saved
+        self._saved = None
+        merge = lstm_param_grads(cache, dpre)
+        self.grads[:] = np.concatenate([merge.W.ravel(), merge.b, readout.T @ dz, [dz.sum()]])
 
 
 def _windows(seq_a: list, seq_b: list) -> list[tuple[list, list]]:
@@ -306,11 +410,11 @@ def _windows(seq_a: list, seq_b: list) -> list[tuple[list, list]]:
 def _score_window(model: SiameseModel, seqs: list, slice_rows: list) -> np.ndarray:
     """Scores of one window's pairs: encode its sequences once, then run the
     merge and head on each slice."""
-    branch_out, lengths, _ = _encode(  # a one-row GEMM rounds differently
-        model, seqs * 2 if len(seqs) == 1 else seqs, keep_cache=False)
+    branch_in, mask, lengths = _branch_inputs(  # a one-row GEMM rounds differently
+        model, seqs * 2 if len(seqs) == 1 else seqs)
+    branch_out, _, _ = lstm_forward_batch(model.branch, branch_in, mask, keep_cache=False)
     return np.concatenate([
-        _merge_and_head(model, branch_out, lengths, rows[: rows.size // 2],
-                        rows[rows.size // 2 :], keep_cache=False)[0]
+        _score_slice(model, branch_out, lengths, rows[: rows.size // 2], rows[rows.size // 2 :])
         for rows in slice_rows])
 
 
@@ -331,29 +435,38 @@ def score_pairs(model: SiameseModel, seq_a: list, seq_b: list) -> np.ndarray:
 
 
 def batch_loss_grads(
-    model: SiameseModel, seq_a: list, seq_b: list, labels: np.ndarray
+    model: SiameseModel, seq_a: list, seq_b: list, labels: np.ndarray, merge=None
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean pair loss over a batch, its parameter gradient, and the scores.
 
     The gradient treats the clamp inside the logarithms as constant, so
-    saturated scores still produce bounded, non-zero updates.
+    saturated scores still produce bounded, non-zero updates. ``merge`` is
+    the merge stage that ``train`` keeps for all its batches, which may run
+    in a forked worker (see _MergeStage); by default the batch runs
+    in-process. The results have the same bits either way.
     """
     n = len(seq_a)
     if n == 0:
         raise ValueError("empty batch")
     labels = np.asarray(labels, dtype=np.float64)
-    branch_out, lengths, branch_cache = _encode(model, [*seq_a, *seq_b], keep_cache=True)
-    scores, s_directed, context = _merge_and_head(
-        model, branch_out, lengths, np.arange(n), np.arange(n, 2 * n), keep_cache=True)
+    branch_in, mask, lengths = _branch_inputs(model, [*seq_a, *seq_b])
+    if merge is None:
+        merge = _MergeStage(model, *mask.shape)
+    out, grad_out = merge.views(lengths)
+    merge.params[:] = pack_params(model)
+    merge.worker.submit("forward", lengths, labels)
 
-    s_c = np.clip(scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
-    losses = -(labels * np.log(s_c) + (1.0 - labels) * np.log(1.0 - s_c))
-    dloss_dscore = (-labels / s_c + (1.0 - labels) / (1.0 - s_c)) / n
-    orders = s_directed.size // n
-    dz = np.tile(dloss_dscore, orders) / orders * s_directed * (1.0 - s_directed)
+    def publish(t: int, rows: np.ndarray) -> None:
+        out[t] = rows
+        merge.worker.post()
 
-    grad = _backward_pairs(model, context, branch_cache, dz)
-    return float(losses.mean()), grad, scores
+    _, _, branch_cache = lstm_forward_batch(model.branch, branch_in, mask, on_step=publish)
+    loss, scores = merge.worker.result()
+    merge.worker.submit("param_grads")
+    branch_grads, _ = lstm_backward_batch(model.branch, branch_cache, grad_out,
+                                          input_grad=False)
+    merge.worker.result()
+    return loss, np.concatenate([branch_grads.W.ravel(), branch_grads.b, merge.grads]), scores
 
 
 def train(
@@ -395,60 +508,63 @@ def train(
     current = model
     t0 = time.monotonic()
 
-    for iteration in range(1, cfg.max_iterations + 1):
-        order = rng.permutation(len(data))
-        loss_sum = 0.0
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = [data[j] for j in order[lo : lo + cfg.batch_size]]
-            seq_a = [d[0] for d in batch]
-            seq_b = [d[1] for d in batch]
-            labels = np.array([d[2] for d in batch], dtype=np.float64)
-            loss, grad, _ = batch_loss_grads(current, seq_a, seq_b, labels)
-            loss_sum += loss * len(batch)
-            grad, _ = clip_global_norm(grad, cfg.clip_norm)
-            if cfg.optimizer == "adam":
-                step += 1
-                adam_m = beta1 * adam_m + (1.0 - beta1) * grad
-                adam_v = beta2 * adam_v + (1.0 - beta2) * grad * grad
-                m_hat = adam_m / (1.0 - beta1**step)
-                v_hat = adam_v / (1.0 - beta2**step)
-                vec = vec - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
-            else:
-                vec = vec - cfg.learning_rate * grad
-            current = unpack_params(model, vec)
+    max_steps = max(v[:: model.config.time_stride].shape[0] for a, b, _ in data for v in (a, b))
+    merge = _MergeStage(model, 2 * min(cfg.batch_size, len(data)), max_steps)
+    with merge.worker:
+        for iteration in range(1, cfg.max_iterations + 1):
+            order = rng.permutation(len(data))
+            loss_sum = 0.0
+            for lo in range(0, len(order), cfg.batch_size):
+                batch = [data[j] for j in order[lo : lo + cfg.batch_size]]
+                seq_a = [d[0] for d in batch]
+                seq_b = [d[1] for d in batch]
+                labels = np.array([d[2] for d in batch], dtype=np.float64)
+                loss, grad, _ = batch_loss_grads(current, seq_a, seq_b, labels, merge)
+                loss_sum += loss * len(batch)
+                grad, _ = clip_global_norm(grad, cfg.clip_norm)
+                if cfg.optimizer == "adam":
+                    step += 1
+                    adam_m = beta1 * adam_m + (1.0 - beta1) * grad
+                    adam_v = beta2 * adam_v + (1.0 - beta2) * grad * grad
+                    m_hat = adam_m / (1.0 - beta1**step)
+                    v_hat = adam_v / (1.0 - beta2**step)
+                    vec = vec - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
+                else:
+                    vec = vec - cfg.learning_rate * grad
+                current = unpack_params(model, vec)
 
-        mean_cost = loss_sum / len(data)
-        if not np.isfinite(mean_cost):
-            raise TrainingDiverged(
-                f"training cost became {mean_cost} at iteration {iteration}"
+            mean_cost = loss_sum / len(data)
+            if not np.isfinite(mean_cost):
+                raise TrainingDiverged(
+                    f"training cost became {mean_cost} at iteration {iteration}"
+                )
+
+            eer_1vs1 = eer_4vs1 = float("nan")
+            if dev_eval_hook is not None:
+                eer_1vs1, eer_4vs1 = dev_eval_hook(current)
+            history.append(
+                {
+                    "iteration": iteration,
+                    "cost": mean_cost,
+                    "dev_eer_1vs1": eer_1vs1,
+                    "dev_eer_4vs1": eer_4vs1,
+                    "seconds": time.monotonic() - t0,
+                }
             )
 
-        eer_1vs1 = eer_4vs1 = float("nan")
-        if dev_eval_hook is not None:
-            eer_1vs1, eer_4vs1 = dev_eval_hook(current)
-        history.append(
-            {
-                "iteration": iteration,
-                "cost": mean_cost,
-                "dev_eer_1vs1": eer_1vs1,
-                "dev_eer_4vs1": eer_4vs1,
-                "seconds": time.monotonic() - t0,
-            }
-        )
-
-        metric = eer_4vs1 if dev_eval_hook is not None else mean_cost
-        if metric < best_metric:
-            best_metric = metric
-            best_vec = vec.copy()
-            stale = 0
-        else:
-            stale += 1
-            if cfg.patience > 0 and stale >= cfg.patience:
+            metric = eer_4vs1 if dev_eval_hook is not None else mean_cost
+            if metric < best_metric:
+                best_metric = metric
+                best_vec = vec.copy()
+                stale = 0
+            else:
+                stale += 1
+                if cfg.patience > 0 and stale >= cfg.patience:
+                    break
+            if cfg.stop_below_cost > 0.0 and mean_cost < cfg.stop_below_cost:
                 break
-        if cfg.stop_below_cost > 0.0 and mean_cost < cfg.stop_below_cost:
-            break
 
-    return unpack_params(model, best_vec), history
+        return unpack_params(model, best_vec), history
 
 
 def write_training_log(history: list[dict], path) -> None:

@@ -5,14 +5,19 @@ import csv
 import dataclasses
 import inspect
 import json
+import multiprocessing
+import os
 import re
 import shutil
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sigver import cli
+from sigver import cli, parallel, siamese
 from sigver.dataset import ProtocolConfig
 from sigver.dtw import DtwConfig
 from sigver.features import extract_features
@@ -306,6 +311,50 @@ class TestTrain:
         assert err == "error: training cost became nan at iteration 3\n"
 
 
+    @pytest.mark.parametrize("hidden", [(16, 8), (46, 23)], ids=["cli", "library"])
+    def test_one_cpu_writes_the_bytes_of_two(self, corpus, tmp_path, hidden):
+        """A child process pinned to CPU 0 trains in-process; an unpinned one
+        on a host with two CPUs runs the merge in a forked worker."""
+        script = ("import os, sys\n"
+                  "if sys.argv[1] == 'pin':\n"
+                  "    os.sched_setaffinity(0, {0})\n"
+                  "from sigver import cli, parallel\n"
+                  "print(parallel.may_fork())\n"
+                  "sys.exit(cli.main(sys.argv[2:]))\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        outs = {}
+        for mode in ("pin", "free"):
+            outs[mode] = tmp_path / mode
+            done = subprocess.run(
+                [sys.executable, "-c", script, mode, "train", "--data", str(corpus),
+                 "--iterations", "2", "--branch-hidden", str(hidden[0]),
+                 "--merge-hidden", str(hidden[1]), "--out", str(outs[mode])],
+                capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            forks = done.stdout.splitlines()[0]
+            assert forks == str(mode == "free" and len(os.sched_getaffinity(0)) > 1)
+        for name in ("model.npz", "training_log.csv"):
+            assert (outs["pin"] / name).read_bytes() == (outs["free"] / name).read_bytes()
+
+    def test_killed_worker_is_one_error_line(self, corpus, tmp_path, capsys,
+                                             monkeypatch):
+        caller = os.getpid()
+
+        def killed(self, *args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise AssertionError("the merge stage ran in-process")
+
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(siamese._MergeStage, "forward", killed)
+        assert run("train", "--data", corpus, "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"error: a worker process exited with code {-signal.SIGKILL} "
+            "before returning its results\n")
+        assert multiprocessing.active_children() == []
+
+
 class TestEvaluate:
     def test_echoes_protocol_counts(self, corpus, model_dir, tmp_path, capsys):
         assert run("evaluate", "--data", corpus,
@@ -392,6 +441,28 @@ class TestReport:
         empty.write_text("system,protocol,eer_percent\n")
         assert run("report", empty) == 2
         assert "no result rows found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("files", [1, 2])
+    def test_config_lists_results_files(self, eval_dir, tmp_path, capsys, files):
+        """``results = a.csv b.csv`` in a config file names files, split on
+        whitespace, as the same paths on the command line would."""
+        paths = [eval_dir / "results.csv", tmp_path / "copy.csv"][:files]
+        shutil.copy(paths[0], tmp_path / "copy.csv")
+        assert run("report", *paths) == 0
+        expected = capsys.readouterr().out
+        cfg = tmp_path / "report.cfg"
+        cfg.write_text("results = " + "  ".join(map(str, paths)) + "\n")
+        assert run("report", "--config", cfg) == 0
+        assert capsys.readouterr().out == expected
+        assert sum(1 for ln in expected.splitlines() if ln.startswith("proposed")) \
+            == 2 * files
+
+    def test_config_with_empty_results_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "report.cfg"
+        cfg.write_text("results =\n")
+        assert run("report", "--config", cfg) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {cfg}: bad value for results: expected at least one value\n")
 
 
 # --- each bad input ends in one line on stderr and exit 1 or 2 ---

@@ -13,6 +13,8 @@ from sigver.lstm import (
     init_lstm,
     lstm_backward_batch,
     lstm_forward_batch,
+    lstm_forward_steps,
+    row_order,
     sigmoid,
 )
 
@@ -413,6 +415,33 @@ def test_forward_without_cache_is_bit_identical(rng):
     assert cache is not None and none is None
     assert np.array_equal(lean, out)
     assert np.array_equal(h2, h) and np.array_equal(C2, C)
+
+
+def test_steps_filled_one_at_a_time_give_the_batch_bits(rng):
+    """``before_step`` may write a step's inputs just before the step reads
+    them, and ``on_step`` sees each step's outputs in the engine's order."""
+    H, D, T = 4, 3, 7
+    params = random_params(rng, H, D)
+    lengths = np.array([3, 7, 1, 7, 5])
+    inputs = rng.normal(0, 1, (lengths.size, T, D))
+    mask = np.arange(T) < lengths[:, None]
+    out, (h, C), cache = lstm_forward_batch(params, inputs, mask)
+    inputs_t = np.full((T, lengths.size, D), np.nan)
+    seen = []
+
+    def fill(t):
+        assert np.isnan(inputs_t[t]).all()
+        inputs_t[t] = inputs[:, t]
+
+    got, (h2, C2), cache2 = lstm_forward_steps(
+        params, inputs_t, lengths, before_step=fill,
+        on_step=lambda t, rows: seen.append(rows.copy()))
+    assert got.tobytes() == out.tobytes()
+    assert (h2.tobytes(), C2.tobytes()) == (h.tobytes(), C.tobytes())
+    assert cache2["inputs_t"].tobytes() == cache["inputs_t"].tobytes()
+    order, inv = row_order(lengths)
+    assert order.tolist() == [1, 3, 4, 0, 2] and inv.tolist() == [3, 0, 4, 1, 2]
+    assert np.stack(seen).tobytes() == out[order].transpose(1, 0, 2).tobytes()
 
 
 def test_empty_sequence_returns_initial_state(rng):

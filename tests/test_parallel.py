@@ -1,14 +1,129 @@
-"""fork_map: the caller's share, the children it starts, and their errors."""
+"""fork_map and Worker: the rule for forking, the caller's share, the
+children they start, and their errors."""
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from sigver import parallel
-from sigver.parallel import fork_map
+from sigver.parallel import Worker, fork_map, may_fork
+
+
+def test_may_fork_needs_two_cpus_fork_no_daemon_and_no_other_thread(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    assert may_fork()
+    with monkeypatch.context() as m:
+        m.setattr(parallel, "usable_cpus", lambda: 1)
+        assert not may_fork()
+    with monkeypatch.context() as m:
+        m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert not may_fork()
+    with monkeypatch.context() as m:
+        m.setattr(multiprocessing.current_process(), "daemon", True)
+        assert not may_fork()
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert not may_fork()
+    finally:
+        release.set()
+        other.join(60)
+    assert may_fork()
+
+
+class Recorder:
+    """A Worker target: its calls report the process that ran them."""
+
+    worker = None  # the Worker that runs this target's calls
+
+    def pid(self, tag):
+        return tag, os.getpid()
+
+    def steps(self, n):
+        for _ in range(n):
+            self.worker.wait()
+        return n
+
+    def fail(self, message):
+        raise KeyError(message)
+
+    def die(self):
+        os._exit(7)
+
+
+@pytest.fixture
+def recorder():
+    target = Recorder()
+    target.worker = Worker(target)
+    return target.worker
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_worker_runs_calls_in_order_where_may_fork_says(recorder, monkeypatch, cpus):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    with recorder:
+        for tag in "abc":
+            recorder.submit("pid", tag)
+        for _ in range(5):
+            recorder.post()
+        recorder.submit("steps", 5)
+        results = [recorder.result() for _ in range(4)]
+        if cpus == 2:
+            assert len(multiprocessing.active_children()) == 1
+    assert [tag for tag, _ in results[:3]] == ["a", "b", "c"]
+    pids = {pid for _, pid in results[:3]}
+    assert len(pids) == 1 and (pids == {os.getpid()}) == (cpus == 1)
+    assert results[3] == 5
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_worker_error_is_raised_with_its_type_and_message(recorder, monkeypatch, cpus):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    with pytest.raises(KeyError, match="no such entry"):
+        with recorder:
+            recorder.submit("pid", "a")
+            recorder.submit("fail", "no such entry")
+            assert recorder.result()[0] == "a"
+            recorder.result()
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_that_dies_is_a_child_process_error(recorder, monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    with pytest.raises(ChildProcessError, match="exited with code 7 before returning"):
+        with recorder:
+            recorder.submit("die")
+            recorder.result()
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_is_ended_when_the_block_raises(recorder, monkeypatch):
+    """A call still waiting for posts does not keep the block from ending."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match="caller failed"):
+        with recorder:
+            recorder.submit("steps", 3)
+            recorder.post()
+            raise RuntimeError("caller failed")
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_ignores_interrupts_its_caller_handles(recorder, monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    with recorder:
+        recorder.submit("pid", "a")
+        child = recorder.result()[1]
+        os.kill(child, signal.SIGINT)
+        recorder.submit("pid", "b")
+        assert recorder.result() == ("b", child)
+    assert multiprocessing.active_children() == []
 
 
 def test_caller_computes_share_zero_beside_one_child_per_extra_cpu(monkeypatch):

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -211,14 +212,16 @@ def in_process(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
 
 
+GET_CONTEXT = multiprocessing.get_context
+
+
 def pooled(monkeypatch) -> list:
     """Let fork_map use two CPUs and record the contexts it asks for."""
     asked = []
-    get_context = multiprocessing.get_context
 
     def spy(method=None):
         asked.append(method)
-        return get_context(method)
+        return GET_CONTEXT(method)
 
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     monkeypatch.setattr(multiprocessing, "get_context", spy)
@@ -452,6 +455,126 @@ def test_nan_features_raise_diverged(rng):
     model = tiny_model(rng)
     with pytest.raises(TrainingDiverged):
         train(model, pairs, features, TrainConfig(max_iterations=2))
+
+
+# --- the training pipeline: the merge stage in a forked worker ---
+
+
+def wide_training_setup(gen, n_pairs=11, width=23):
+    """n_pairs labeled pairs over random sequences of 7-39 rows."""
+    features = {f"s{k}": random_seq(gen, int(gen.integers(7, 40)), width)
+                for k in range(2 * n_pairs)}
+    pairs = [Pair("u", 0, 0, f"s{2 * k}", f"s{2 * k + 1}", k % 2) for k in range(n_pairs)]
+    return pairs, features
+
+
+def train_on(cpus, monkeypatch, cfg, train_cfg, hook=None):
+    """Packed parameters and costs of a training run with ``cpus`` usable
+    CPUs, and the contexts multiprocessing was asked for."""
+    asked = pooled(monkeypatch)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    gen = np.random.default_rng(21)
+    pairs, features = wide_training_setup(gen)
+    trained, history = train(init_model(cfg, gen), pairs, features, train_cfg,
+                             dev_eval_hook=hook)
+    assert multiprocessing.active_children() == []
+    return pack_params(trained).tobytes(), [row["cost"] for row in history], asked
+
+
+@pytest.mark.parametrize("hidden", [(16, 8), (46, 23)], ids=["cli", "library"])
+@pytest.mark.parametrize("symmetric,concat,readout,stride", VARIANTS)
+def test_pipelined_training_equals_in_process(hidden, symmetric, concat, readout, stride,
+                                              monkeypatch):
+    """Batches of 2 pairs over 11 pairs leave a 1-pair last batch."""
+    cfg = ModelConfig(n_features=23, branch_hidden=hidden[0], merge_hidden=hidden[1],
+                      symmetric=symmetric, concat=concat, readout=readout,
+                      time_stride=stride)
+    train_cfg = TrainConfig(learning_rate=0.01, batch_size=2, max_iterations=2, seed=5)
+    local = train_on(1, monkeypatch, cfg, train_cfg)
+    piped = train_on(2, monkeypatch, cfg, train_cfg)
+    assert (local[2], piped[2]) == ([], ["fork"])
+    assert piped[:2] == local[:2]
+
+
+def test_dev_eval_scoring_forks_beside_the_worker(monkeypatch):
+    """A dev hook's score_pairs runs fork_map while the worker is alive."""
+    seqs = three_window_pairs(np.random.default_rng(8))
+
+    def hook(model):
+        scores = score_pairs(model, *seqs)
+        return float(scores.mean()), float(scores[0])
+
+    cfg = ModelConfig(n_features=23, branch_hidden=16, merge_hidden=8, time_stride=3)
+    train_cfg = TrainConfig(learning_rate=0.05, batch_size=4, max_iterations=3, seed=6)
+    local = train_on(1, monkeypatch, cfg, train_cfg, hook)
+    piped = train_on(2, monkeypatch, cfg, train_cfg, hook)
+    assert (local[2], piped[2]) == ([], ["fork"] * 4)
+    assert piped[:2] == local[:2]
+
+
+@pytest.mark.parametrize("method", ["forward", "param_grads"])
+def test_merge_stage_error_is_raised_by_train(method, monkeypatch):
+    """The worker's exception reaches the caller with its type and message,
+    as in-process, and no process is left."""
+    def failing(self, *args):
+        raise ArithmeticError(f"{method} failed")
+
+    monkeypatch.setattr(siamese._MergeStage, method, failing)
+    cfg = ModelConfig(n_features=23, branch_hidden=4, merge_hidden=3)
+    for cpus in (1, 2):
+        with pytest.raises(ArithmeticError, match=f"^{method} failed$"):
+            train_on(cpus, monkeypatch, cfg, TrainConfig(batch_size=4, max_iterations=1))
+        assert multiprocessing.active_children() == []
+
+
+def test_diverged_training_leaves_no_worker(rng, monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    pairs, features = toy_training_setup(rng)
+    features[pairs[0].enroll_key][2, 1] = np.nan
+    with pytest.raises(TrainingDiverged):
+        train(tiny_model(rng), pairs, features, TrainConfig(max_iterations=2))
+    assert multiprocessing.active_children() == []
+
+
+def test_killed_worker_is_a_child_process_error(monkeypatch):
+    caller = os.getpid()
+    forward = siamese._MergeStage.forward
+
+    def killed(self, *args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return forward(self, *args)
+
+    monkeypatch.setattr(siamese._MergeStage, "forward", killed)
+    cfg = ModelConfig(n_features=23, branch_hidden=4, merge_hidden=3)
+    with pytest.raises(ChildProcessError, match=f"exited with code {-signal.SIGKILL} "):
+        train_on(2, monkeypatch, cfg, TrainConfig(batch_size=4, max_iterations=1))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("first,steps", [(0, 9), (8, 1)], ids=["per_step", "final_state"])
+def test_slice_scatter_equals_fancy_index_scatter(symmetric, first, steps):
+    """The merge input gradient goes back to the branch rows by slices, with
+    the bits of adding it through the wiring's index arrays."""
+    gen = np.random.default_rng(4)
+    n, hb = 5, 6
+    lengths = gen.integers(1, 10, size=2 * n)
+    lengths[0] = 9
+    cfg = dataclasses.replace(TINY, symmetric=symmetric,
+                              concat="per_step" if first == 0 else "final_state")
+    left, right, merge_len, got_first = siamese._wiring(
+        cfg, lengths, np.arange(n), np.arange(n, 2 * n))
+    assert (got_first, int(merge_len.max())) == (first, steps)
+    merge_din = gen.normal(size=(left.size, steps, 2 * hb))
+    merge_din[0, 0, :3] = [-0.0, 0.0, -1e-300]
+    expected = np.zeros((2 * n, 9, hb))
+    at = expected[:, first : first + steps]
+    at[left] += merge_din[..., :hb]
+    at[right] += merge_din[..., hb:]
+    got = np.zeros_like(expected)
+    siamese._add_merge_input_grad(got[:, first : first + steps], merge_din, n, symmetric)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_empty_pair_list_rejected(rng):
