@@ -1,25 +1,28 @@
 """Work on every usable CPU, by fork.
 
-Two shapes of work go to forked processes, under one rule (``may_fork``):
-two or more usable CPUs, the ``fork`` start method, and a caller that is
-neither a daemonic process nor running other threads (a lock one of them
-holds at the fork would stay locked in the child). Otherwise the same
-code runs in-process, in order. A piece of work runs the same code on
-the same arrays wherever it runs, so its result has the same bits.
-
-``fork_map(fn, n)`` returns ``[fn(0), ..., fn(n - 1)]``, for independent
-pieces. It forks one process per extra CPU and computes its own share
-meanwhile; piece k belongs to share k mod workers, and share 0 is the
-caller's. The children inherit ``fn`` and everything it reads through
-fork; only their results travel, through a pipe. Every child is gone
-when ``fork_map`` returns or raises.
-
-``Worker(target)`` runs the methods of one object in one forked process,
-in the order its caller asks for them, while the caller goes on with its
-own work: a pipeline of two stages. Calls and results travel through a
+One mechanism forks: ``Worker(target)`` runs the methods of one object
+in one forked process, in the order its caller asks for them, while the
+caller goes on with its own work. Calls and results travel through a
 pipe, one message each; a semaphore counts finer steps of progress from
 the caller (``post``, ``wait``), and bulk data goes through memory that
-both sides mapped before the fork.
+both sides mapped before the fork. Training uses one as a pipeline of two
+stages.
+
+A Worker forks under one rule (``may_fork``): two or more usable CPUs,
+the ``fork`` start method, and a caller that is neither a daemonic
+process nor running other threads (a lock one of them holds at the fork
+would stay locked in the child). Otherwise its calls run in-process, in
+order. A piece of work runs the same code on the same arrays wherever it
+runs, so its result has the same bits.
+
+``fork_map(fn, n)`` returns ``[fn(0), ..., fn(n - 1)]``, for independent
+pieces: one Worker per extra CPU, each running one share, while the
+caller computes its own. Piece k belongs to share k mod workers, and
+share 0 is the caller's. The children inherit ``fn`` and everything it
+reads through fork; only their results travel. Each Worker is closed
+as soon as it has its share, so a child exits once it has sent its
+results, while the caller still works. Every child is gone when
+``fork_map`` returns or raises.
 """
 from __future__ import annotations
 
@@ -27,6 +30,9 @@ import multiprocessing
 import os
 import signal
 import threading
+from contextlib import ExitStack
+from functools import partial
+from types import SimpleNamespace
 
 
 def usable_cpus() -> int:
@@ -60,11 +66,6 @@ def _run_share(fn, share: int, workers: int, n: int) -> tuple[list, int | None, 
     return results, None, None
 
 
-def _child(fn, share: int, workers: int, n: int, conn) -> None:
-    conn.send(_run_share(fn, share, workers, n))
-    conn.close()
-
-
 def _exited(process) -> ChildProcessError:
     process.join()
     return ChildProcessError(f"a worker process exited with code {process.exitcode} "
@@ -83,33 +84,16 @@ def fork_map(fn, n: int) -> list:
     workers = min(n, usable_cpus())
     if workers < 2 or not may_fork():
         return [fn(k) for k in range(n)]
-    ctx = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for share in range(1, workers):
-            recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_child, args=(fn, share, workers, n, send),
-                                daemon=True)
-            child.start()  # its Popen flushes stdio first, so nothing prints twice
-            send.close()
-            children.append((child, recv))
-        outcomes = [_run_share(fn, 0, workers, n)]
-        for child, recv in children:
-            try:
-                outcomes.append(recv.recv())
-            except EOFError:
-                raise _exited(child) from None
-        failures = [(k, exc) for _, k, exc in outcomes if k is not None]
-        if failures:
-            raise min(failures, key=lambda f: f[0])[1]
-    except BaseException:
-        for child, _ in children:
-            child.terminate()
-        raise
-    finally:
-        for child, recv in children:
-            child.join()
-            recv.close()
+    shares = SimpleNamespace(run=partial(_run_share, fn, workers=workers, n=n))
+    with ExitStack() as stack:
+        children = [stack.enter_context(Worker(shares)) for _ in range(1, workers)]
+        for share, child in enumerate(children, 1):
+            child.submit("run", share)
+            child.close()  # so it ends while the caller computes share 0
+        outcomes = [shares.run(0)] + [child.result() for child in children]
+    failures = [(k, exc) for _, k, exc in outcomes if k is not None]
+    if failures:  # raised after the block, so the children end cleanly
+        raise min(failures, key=lambda f: f[0])[1]
     results = [None] * n
     for share, (share_results, _, _) in enumerate(outcomes):
         results[share::workers] = share_results
@@ -134,16 +118,21 @@ class Worker:
     both do nothing, since a call runs only after every post it waits
     for. Between calls the process blocks on its pipe. Leaving the block
     ends the process: after its last call, or at once when the block
-    raises. A process that dies before sending a result raises a
-    ``ChildProcessError`` in ``result``.
+    raises. ``close()`` says that no call follows, so the process ends
+    after its last call without waiting for the block, which then only
+    joins it. A process that dies before sending a result raises a
+    ``ChildProcessError`` in ``result``. The process ignores SIGINT: its
+    caller handles the interrupt and ends it.
     """
 
     def __init__(self, target) -> None:
         self.target = target
         self._pending: list = []  # calls not yet run, in-process
         self._process = self._conn = self._posts = None
+        self._closed = False
 
     def __enter__(self) -> Worker:
+        self._closed = False
         if may_fork():
             ctx = multiprocessing.get_context("fork")
             self._posts = ctx.Semaphore(0)
@@ -153,18 +142,25 @@ class Worker:
             child_end.close()
         return self
 
+    def close(self) -> None:
+        if self._process is not None and not self._closed:
+            try:
+                self._conn.send(None)
+            except OSError:  # it is gone already; ``result`` says so
+                pass
+        self._closed = True
+
     def __exit__(self, exc_type, exc, tb) -> None:
-        process, self._process = self._process, None
+        process = self._process
         if process is None:
             return
         try:
             if exc_type is None:
-                self._conn.send(None)
+                self.close()
             else:
                 process.terminate()
-        except OSError:  # it is gone already
-            pass
         finally:
+            self._process = None
             process.join()
             self._conn.close()
 
@@ -197,7 +193,7 @@ class Worker:
             return getattr(self.target, name)(*args)
         try:
             ok, value = self._conn.recv()
-        except EOFError:
+        except (EOFError, ConnectionResetError):  # reset: it died with calls unread
             raise _exited(self._process) from None
         if not ok:
             raise value

@@ -238,10 +238,16 @@ def _wiring(cfg: ModelConfig, lengths: np.ndarray, rows_a: np.ndarray, rows_b: n
     return left, right, np.ones(left.size, dtype=np.int64), int(lengths.max()) - 1
 
 
-def _readout(model: SiameseModel, merge_out: np.ndarray, merge_len: np.ndarray):
-    """Readout (B, H) of the merge outputs (B, T, H)."""
-    if model.config.readout == "last":
-        return merge_out[np.arange(merge_len.size), merge_len - 1]
+def _readout(model: SiameseModel, merge_out_t: np.ndarray, merge_h: np.ndarray,
+             inv: np.ndarray, merge_len: np.ndarray) -> np.ndarray:
+    """Readout (B, H) of merge rows of lengths ``merge_len``, from the merge
+    outputs (T, B, H) and final states (B, H) that hold merge row r at row
+    ``inv[r]`` (see lstm_forward_steps)."""
+    if model.config.readout == "last":  # a row carries its state past its length
+        return np.take(merge_h, inv, axis=0)
+    # summed in merge row order: numpy sums a (B, T, 1) block pairwise, so
+    # another layout could change the bits
+    merge_out = np.take(merge_out_t.transpose(1, 0, 2), inv, axis=0)
     merge_mask = np.arange(merge_out.shape[1]) < merge_len[:, None]
     return (merge_out * merge_mask[:, :, None]).sum(axis=1) / merge_len[:, None]
 
@@ -267,11 +273,7 @@ def _score_slice(model: SiameseModel, branch_out_t: np.ndarray, branch_inv: np.n
     np.take(steps, halves, axis=1, out=merge_in_t.reshape(n_steps, -1, hb), mode="clip")
     merge_out_t, (merge_h, _), _ = lstm_forward_steps(model.merge, merge_in_t,
                                                       merge_len[order], keep_cache=False)
-    if model.config.readout == "last":  # a row carries its state past its length
-        readout = np.take(merge_h, inv, axis=0)
-    else:  # summed in merge row order: numpy sums a (B, T, 1) block pairwise
-        readout = _readout(model, np.take(merge_out_t.transpose(1, 0, 2), inv, axis=0),
-                           merge_len)
+    readout = _readout(model, merge_out_t, merge_h, inv, merge_len)
     return _head(model, readout).reshape(-1, rows_a.size).mean(axis=0)
 
 
@@ -364,9 +366,11 @@ class _MergeStage:
         n, hb = labels.size, cfg.branch_hidden
         left, right, merge_len, first = _wiring(cfg, lengths, np.arange(n), np.arange(n, 2 * n))
         inv = row_order(lengths)[1]
-        from_left, from_right = inv[left], inv[right]
+        # both halves of every merge row in one take per step, as in _score_slice
+        halves = np.stack([inv[left], inv[right]], axis=1).ravel()
         out, grad_out = self.views(lengths)
-        merge_in_t = np.empty((int(merge_len.max()), left.size, 2 * hb))
+        n_steps = int(merge_len.max())
+        merge_in_t = np.empty((n_steps, left.size, 2 * hb))
         posted = 0
 
         def gather(t: int) -> None:
@@ -374,21 +378,20 @@ class _MergeStage:
             while posted <= first + t:  # every branch row is in left, so the
                 self.worker.wait()      # last merge step takes the last post
                 posted += 1
-            merge_in_t[t, :, :hb] = out[first + t, from_left]
-            merge_in_t[t, :, hb:] = out[first + t, from_right]
+            np.take(out[first + t], halves, axis=0, out=merge_in_t[t].reshape(-1, hb),
+                    mode="clip")
 
-        merge_out_t, _, cache = lstm_forward_steps(model.merge, merge_in_t, merge_len,
-                                                   before_step=gather)
-        merge_out = np.take(merge_out_t.transpose(1, 0, 2), cache["inv"], axis=0)
-        readout = _readout(model, merge_out, merge_len)
+        merge_out_t, (merge_h, _), cache = lstm_forward_steps(model.merge, merge_in_t,
+                                                              merge_len, before_step=gather)
+        readout = _readout(model, merge_out_t, merge_h, cache["inv"], merge_len)
         loss, scores, dz = _loss(labels, _head(model, readout))
 
         dreadout = dz[:, None] * model.head.w[None, :]
-        grad_merge_out = np.zeros(merge_out.shape)
+        grad_merge_out = np.zeros((left.size, n_steps, cfg.merge_hidden))
         if cfg.readout == "last":
             grad_merge_out[np.arange(dz.size), merge_len - 1] = dreadout
         else:
-            merge_mask = np.arange(merge_out.shape[1]) < merge_len[:, None]
+            merge_mask = np.arange(n_steps) < merge_len[:, None]
             grad_merge_out[:] = ((dreadout / merge_len[:, None])[:, None, :]
                                  * merge_mask[:, :, None])
         dpre = lstm_backward_steps(cache, grad_merge_out)

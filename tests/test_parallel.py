@@ -1,5 +1,6 @@
 """fork_map and Worker: the rule for forking, the caller's share, the
 children they start, and their errors."""
+import inspect
 import multiprocessing
 import os
 import signal
@@ -126,6 +127,22 @@ def test_worker_ignores_interrupts_its_caller_handles(recorder, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_closed_worker_ends_after_its_last_call(recorder, monkeypatch, cpus):
+    """After ``close`` the process exits by itself once its calls are done,
+    so leaving the block does not wait for it to end."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    with recorder:
+        recorder.submit("pid", "a")
+        recorder.close()
+        assert recorder.result()[0] == "a"
+        for child in multiprocessing.active_children():
+            child.join(60)
+            assert child.exitcode == 0
+        assert multiprocessing.active_children() == []
+    assert multiprocessing.active_children() == []
+
+
 def test_caller_computes_share_zero_beside_one_child_per_extra_cpu(monkeypatch):
     started = []
     start = multiprocessing.process.BaseProcess.start
@@ -188,6 +205,29 @@ def test_child_that_dies_without_a_result_is_reported(monkeypatch):
     with pytest.raises(ChildProcessError, match="exited with code 3 before returning"):
         fork_map(piece, 4)
     assert multiprocessing.active_children() == []
+
+
+def test_fork_map_child_ignores_interrupts_its_caller_handles(monkeypatch):
+    """A child runs its share as a Worker call, so SIGINT does not end it."""
+    caller = os.getpid()
+
+    def piece(k):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGINT)
+        return k
+
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    assert fork_map(piece, 4) == [0, 1, 2, 3]
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_is_the_only_fork_site():
+    """Every forked process starts in Worker.__enter__, so every child gets
+    its lifecycle rules; a new fork path has to edit this test."""
+    src = Path(parallel.__file__).resolve().parent
+    sites = {path.name: path.read_text().count(".Process(") for path in src.glob("*.py")}
+    assert {name: count for name, count in sites.items() if count} == {"parallel.py": 1}
+    assert ".Process(" in inspect.getsource(Worker.__enter__)
 
 
 def test_forked_children_do_not_repeat_buffered_stdout(tmp_path):

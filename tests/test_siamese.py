@@ -16,7 +16,7 @@ import pytest
 
 from sigver import parallel, siamese
 from sigver.dataset import Pair
-from sigver.lstm import lstm_forward_batch, lstm_forward_steps
+from sigver.lstm import lstm_forward_batch, lstm_forward_steps, sigmoid
 from sigver.siamese import (
     ModelConfig,
     ModelFormatError,
@@ -174,6 +174,55 @@ def test_score_pairs_equals_slicewise_forward(hidden, symmetric, concat, readout
         batch_loss_grads(model, seq_a[lo : lo + 64], seq_b[lo : lo + 64],
                          labels[lo : lo + 64])[2]
         for lo in range(0, 80, 64)])
+    assert np.array_equal(score_pairs(model, seq_a, seq_b), expected)
+
+
+def reference_slice_scores(model, seq_a, seq_b):
+    """Scores of one slice of pairs from the documented data path alone:
+    ``lstm_forward_batch`` on zero-padded (B, T, D) blocks with prefix
+    masks, the merge input gathered through ``_wiring``, and each readout
+    read off the merge outputs (B, T, H)."""
+    cfg = model.config
+    n = len(seq_a)
+    values = [s[:: cfg.time_stride] for s in [*seq_a, *seq_b]]
+    lengths = np.array([v.shape[0] for v in values])
+    branch_in = np.zeros((2 * n, lengths.max(), cfg.n_features))
+    for k, v in enumerate(values):
+        branch_in[k, : v.shape[0]] = v
+    branch_out, _, _ = lstm_forward_batch(
+        model.branch, branch_in, np.arange(lengths.max()) < lengths[:, None], keep_cache=False)
+    left, right, merge_len, first = siamese._wiring(cfg, lengths, np.arange(n),
+                                                    np.arange(n, 2 * n))
+    steps = slice(first, first + merge_len.max())
+    merge_in = np.concatenate([branch_out[left, steps], branch_out[right, steps]], axis=2)
+    merge_mask = np.arange(merge_len.max()) < merge_len[:, None]
+    merge_out, _, _ = lstm_forward_batch(model.merge, merge_in, merge_mask, keep_cache=False)
+    if cfg.readout == "last":
+        readout = merge_out[np.arange(merge_len.size), merge_len - 1]
+    else:
+        readout = (merge_out * merge_mask[:, :, None]).sum(axis=1) / merge_len[:, None]
+    return sigmoid(readout @ model.head.w + model.head.b).reshape(-1, n).mean(axis=0)
+
+
+@pytest.mark.parametrize("hidden", [(16, 8), (46, 23)], ids=["cli", "library"])
+@pytest.mark.parametrize("symmetric,concat,readout,stride", VARIANTS)
+def test_score_pairs_equals_reference_readouts(hidden, symmetric, concat, readout, stride):
+    """Scoring and training share ``_readout``, so the slicewise test above
+    no longer checks the readouts themselves; this reference builds them
+    by hand, one 64-pair slice at a time (every GEMM has at least 2 rows),
+    and must give the same bits."""
+    cfg = ModelConfig(n_features=23, branch_hidden=hidden[0], merge_hidden=hidden[1],
+                      symmetric=symmetric, concat=concat, readout=readout,
+                      time_stride=stride)
+    gen = np.random.default_rng(17)
+    model = init_model(cfg, gen)
+    seqs = [random_seq(gen, int(gen.integers(7, 40)), 23) for _ in range(150)]
+    idx_a, idx_b = gen.integers(0, 150, size=(2, 300))
+    idx_b[100] = idx_a[100]
+    seq_a, seq_b = [seqs[i] for i in idx_a], [seqs[i] for i in idx_b]
+    expected = np.concatenate([
+        reference_slice_scores(model, seq_a[lo : lo + 64], seq_b[lo : lo + 64])
+        for lo in range(0, 300, 64)])
     assert np.array_equal(score_pairs(model, seq_a, seq_b), expected)
 
 
