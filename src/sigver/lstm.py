@@ -34,23 +34,36 @@ only; padded row-steps cost no gate work. The two matrix products of a
 step still run at the full height B: OpenBLAS does not always give a
 row the same bits when the row count changes (a single row goes through
 GEMV), so a fixed height keeps the results equal to the unpacked
-recurrence's. The forward products give the same bits for any row order
-at the sizes used here, but the backward recurrent product through the
-transposed W_h does not when B % 4 != 0 (K x N of 92 x 23 or 184 x 46,
-for instance). So the backward pass writes each step's gate gradients
-into a caller-order buffer first and runs that product, and the
-whole-run reductions for dW, db and the input gradient, on it; the
-gradients come back in caller order. Results are equal bit for bit to
-running every row at every step; inputs whose rows come longest first
-are read in place.
+recurrence's. Results are equal bit for bit to running every row at
+every step; inputs whose rows come longest first are read in place.
+
+The backward recurrence runs from the last step to the first. The
+elementwise arithmetic of a step (the output and cell-state gradients,
+the four gate gradients and the carried dC) is one compiled function,
+``lstm_backward_step`` in ``_kernels.c``, which also writes the step's
+gate gradients into a caller-order buffer. Its bits cannot differ from
+the numpy expressions it replaces: it only multiplies, adds and
+subtracts values the forward pass stored, in the same order, and it is
+built with ``-ffp-contract=off`` and without ``-ffast-math`` (see
+``kernels``). The transcendental functions, whose numpy and libm forms
+differ, stay in the forward pass, in numpy and scipy. The products stay
+in OpenBLAS with the operands and shapes they had. The forward products
+give the same bits for any row order at the sizes used here, but the
+backward recurrent product through the transposed W_h does not when
+B % 4 != 0 (K x N of 92 x 23 or 184 x 46, for instance). So that product
+runs on the caller-order buffer, as do the whole-run reductions for dW,
+db and the input gradient; the gradients come back in caller order.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
+
+from . import kernels
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -285,6 +298,26 @@ def lstm_forward_steps(
     return out_s, (h, C), cache
 
 
+def _bind_backward_step():
+    """``lstm_backward_step`` of ``_kernels.c``, or, when the library cannot
+    be built, a stand-in that raises the build's OSError: importing needs
+    no compiler, training does."""
+    try:
+        step = kernels.load().lstm_backward_step
+    except OSError as exc:
+        message = str(exc)
+
+        def step(*args):
+            raise OSError(message)
+        return step
+    step.argtypes = [ctypes.c_ssize_t] * 4 + [ctypes.c_void_p] * 8
+    step.restype = None
+    return step
+
+
+_backward_step = _bind_backward_step()
+
+
 def lstm_backward_batch(
     params: LstmParams,
     cache: dict,
@@ -309,7 +342,11 @@ def lstm_backward_batch(
 def lstm_backward_steps(cache: dict, grad_outputs: np.ndarray) -> np.ndarray:
     """The backward recurrence: the gate pre-activation gradients of every
     step, (T, B, 4H) in caller row order, from which the whole-run
-    products of ``lstm_param_grads`` and ``lstm_input_grads`` follow."""
+    products of ``lstm_param_grads`` and ``lstm_input_grads`` follow.
+
+    A step's elementwise arithmetic runs in the compiled
+    ``lstm_backward_step`` (see the module docstring); when the library
+    could not be built, this raises the build's OSError."""
     h_size = cache["hidden"]
     n_steps, n_batch = cache["mask_t"].shape
     grad_outputs = np.asarray(grad_outputs, dtype=np.float64)
@@ -318,38 +355,35 @@ def lstm_backward_steps(cache: dict, grad_outputs: np.ndarray) -> np.ndarray:
             f"grad_outputs shape {grad_outputs.shape} != {(n_batch, n_steps, h_size)}"
         )
     gates, c_tanh, c_prev = cache["gates"], cache["c_tanh"], cache["c_prev"]
-    order, inv, active = cache["order"], cache["inv"], cache["active"]
+    order, active = cache["order"], cache["active"]
+    for name, block, width in (("gates", gates, 4 * h_size), ("c_tanh", c_tanh, h_size),
+                               ("c_prev", c_prev, h_size)):
+        if (block.shape != (n_steps, n_batch, width) or block.dtype != np.float64
+                or not block.flags.c_contiguous):
+            raise ValueError(f"cache[{name!r}] is not a C-order float64 "
+                             f"{(n_steps, n_batch, width)} array")
+    # the compiled step writes row order[k] of each step and reads active[t] rows
+    order = np.ascontiguousarray(order, dtype=np.intp)
+    if (not np.array_equal(np.sort(order), np.arange(n_batch)) or len(active) != n_steps
+            or not all(0 <= a <= n_batch for a in active)):
+        raise ValueError("cache['order'] or cache['active'] does not fit the batch")
     W_h = cache["W_hT"].T
 
     go_s = np.take(grad_outputs.transpose(1, 0, 2), order, axis=1)
     dh = np.zeros((n_batch, h_size))
     dC = np.zeros((n_batch, h_size))
-    # rows past the active prefix stay zero: the prefix only grows backward
-    dp = np.zeros((n_batch, 4 * h_size))
     rec = np.empty((n_batch, h_size))
     dpre = np.empty((n_steps, n_batch, 4 * h_size))  # caller row order
+    arrays = (go_s, gates, c_tanh, c_prev, order, dh, dC, dpre)  # kept alive by these names
+    blocks = [array.ctypes.data for array in arrays]
 
     for t in reversed(range(n_steps)):
-        dh += go_s[t]
         a = active[t]
-        f, i, o, g = (gates[t, :a, k * h_size : (k + 1) * h_size] for k in range(4))
-        tC = c_tanh[t, :a]
-        dh_a = dh[:a]
-
-        do = dh_a * tC
-        dCt = dC[:a] + dh_a * o * (1.0 - tC * tC)
-
-        dp[:a, :h_size] = (dCt * c_prev[t, :a]) * f * (1.0 - f)
-        dp[:a, h_size : 2 * h_size] = (dCt * g) * i * (1.0 - i)
-        dp[:a, 2 * h_size : 3 * h_size] = do * o * (1.0 - o)
-        dp[:a, 3 * h_size :] = (dCt * i) * (1.0 - g * g)
-
+        _backward_step(t, a, n_batch, h_size, *blocks)
         # the recurrent product runs in caller row order: its bits depend
         # on a row's position in the batch
-        np.take(dp, inv, axis=0, out=dpre[t], mode="clip")
         np.matmul(dpre[t], W_h, out=rec)
-        np.take(rec, order[:a], axis=0, out=dh_a, mode="clip")
-        np.multiply(dCt, f, out=dC[:a])
+        np.take(rec, order[:a], axis=0, out=dh[:a], mode="clip")
     return dpre
 
 

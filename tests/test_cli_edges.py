@@ -30,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from sigver import cli
+from sigver import cli, kernels
 
 BIG = str(2**63)  # one past the largest C long
 HUGE = str(10**21)
@@ -80,6 +80,9 @@ EXCLUDED = {
     ("train", "iterations", BIG): UNBOUNDED,
     ("train", "patience", BIG): UNBOUNDED,
 }
+
+# results.json key of the child's kernels library, beside the case ids
+LIBRARY = "kernels-library"
 
 # Sizes past the capped address space, beside the list: numpy's MemoryError
 ALLOCATIONS = [("generate", "max_duration", "1e9"), ("train", "branch_hidden", "100000")]
@@ -177,7 +180,7 @@ def child(work: Path) -> None:
         code, err = run_case([a.format(**paths) for a in argv])
         if code != 0:
             raise RuntimeError(f"set-up {argv[0]} ended {code}: {err}")
-    results = {}
+    results = {LIBRARY: library_identity()}
     for n, case in enumerate(case_list() + ALLOCATIONS):
         case_dir = work / f"case{n}"
         case_dir.mkdir()
@@ -190,8 +193,20 @@ def child(work: Path) -> None:
     (work / "results.json").write_text(json.dumps(results))
 
 
+def library_identity() -> list:
+    """Path, inode and modification time of the kernels library."""
+    path = kernels.library_path()
+    return [str(path), path.stat().st_ino, path.stat().st_mtime_ns]
+
+
 @pytest.fixture(scope="module")
-def edge_results(tmp_path_factory):
+def parent_library() -> list:
+    """The kernels library that this process built or found on import."""
+    return library_identity()
+
+
+@pytest.fixture(scope="module")
+def edge_results(tmp_path_factory, parent_library):
     work = tmp_path_factory.mktemp("edges")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
@@ -237,6 +252,11 @@ def test_edge_value_ends_cleanly(case, edge_results):
     else:
         assert len(lines) == 1 and lines[0].startswith(("error: ", "usage error: ")), err
     assert not result["out_left"], result["argv"]
+
+
+def test_child_loads_the_library_the_parent_built(edge_results, parent_library):
+    """The child compiles nothing, so no compiler runs under its cap."""
+    assert edge_results[LIBRARY] == parent_library
 
 
 @pytest.mark.parametrize("case", ALLOCATIONS, ids=case_id)

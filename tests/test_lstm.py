@@ -12,6 +12,7 @@ from sigver.lstm import (
     init_dense,
     init_lstm,
     lstm_backward_batch,
+    lstm_backward_steps,
     lstm_forward_batch,
     lstm_forward_steps,
     row_order,
@@ -181,6 +182,78 @@ def test_packed_engine_matches_unpacked_at_ragged_heights(size, B):
     params = random_params(rng, H, D, scale=0.3)
     inputs = rng.normal(0, 1, (B, T, D))
     assert_matches_unpacked(params, inputs, lengths, rng.normal(0, 1, (B, T, H)))
+
+
+def numpy_backward_steps(cache, grad_outputs):
+    """The backward recurrence in numpy, as the engine ran it before its
+    step's arithmetic was compiled: the oracle of ``lstm_backward_steps``."""
+    h_size = cache["hidden"]
+    n_steps, n_batch = cache["mask_t"].shape
+    gates, c_tanh, c_prev = cache["gates"], cache["c_tanh"], cache["c_prev"]
+    order, inv, active = cache["order"], cache["inv"], cache["active"]
+    W_h = cache["W_hT"].T
+
+    go_s = np.take(np.asarray(grad_outputs).transpose(1, 0, 2), order, axis=1)
+    dh = np.zeros((n_batch, h_size))
+    dC = np.zeros((n_batch, h_size))
+    dp = np.zeros((n_batch, 4 * h_size))  # rows past the active prefix stay zero
+    rec = np.empty((n_batch, h_size))
+    dpre = np.empty((n_steps, n_batch, 4 * h_size))
+    for t in reversed(range(n_steps)):
+        dh += go_s[t]
+        a = active[t]
+        f, i, o, g = (gates[t, :a, k * h_size : (k + 1) * h_size] for k in range(4))
+        tC = c_tanh[t, :a]
+        dh_a = dh[:a]
+
+        do = dh_a * tC
+        dCt = dC[:a] + dh_a * o * (1.0 - tC * tC)
+
+        dp[:a, :h_size] = (dCt * c_prev[t, :a]) * f * (1.0 - f)
+        dp[:a, h_size : 2 * h_size] = (dCt * g) * i * (1.0 - i)
+        dp[:a, 2 * h_size : 3 * h_size] = do * o * (1.0 - o)
+        dp[:a, 3 * h_size :] = (dCt * i) * (1.0 - g * g)
+
+        np.take(dp, inv, axis=0, out=dpre[t], mode="clip")
+        np.matmul(dpre[t], W_h, out=rec)
+        np.take(rec, order[:a], axis=0, out=dh_a, mode="clip")
+        np.multiply(dCt, f, out=dC[:a])
+    return dpre
+
+
+@pytest.mark.parametrize("kind", ["ragged", "equal", "saturated"])
+@pytest.mark.parametrize("size", ENGINE_SIZES, ids=lambda s: f"H{s[0]}-D{s[1]}")
+@pytest.mark.parametrize("B", [1, 2, 3, 5, 128, 139])
+def test_compiled_backward_step_matches_numpy_oracle(B, size, kind):
+    H, D = size
+    rng = np.random.default_rng(B * 1000 + H * 10 + len(kind))
+    T = 12
+    if kind == "equal":
+        lengths = np.full(B, T)
+    else:  # one row of length 1; steps past every row when B is 1
+        lengths = rng.integers(1, T + 1, B)
+        lengths[B // 2] = T
+        lengths[0] = 1
+    scale = 8.0 if kind == "saturated" else 1.0  # gates at exactly 0, 1 or +-1
+    params = random_params(rng, H, D, scale=0.3 * scale)
+    _, _, cache = lstm_forward_steps(params, scale * rng.normal(0, 1, (T, B, D)), lengths)
+    if kind == "saturated":
+        assert np.any(cache["gates"] == 1.0) and np.any(np.abs(cache["gates"]) < 1e-12)
+    grad_outputs = rng.normal(0, 1, (B, T, H))
+    got = lstm_backward_steps(cache, grad_outputs)
+    assert got.tobytes() == numpy_backward_steps(cache, grad_outputs).tobytes()
+
+
+def test_backward_rejects_a_cache_the_compiled_step_cannot_index(rng):
+    params = random_params(rng, 3, 2)
+    grad_outputs = np.ones((4, 5, 3))
+    for key, bad in [("order", lambda v: v + 1), ("active", lambda v: [5, *v[1:]]),
+                     ("gates", lambda v: np.asfortranarray(v)),
+                     ("c_prev", lambda v: v[:, :, :2])]:
+        _, _, cache = lstm_forward_steps(params, rng.normal(0, 1, (5, 4, 2)), [5, 3, 5, 1])
+        cache[key] = bad(cache[key])
+        with pytest.raises(ValueError, match=key):
+            lstm_backward_steps(cache, grad_outputs)
 
 
 def random_params(rng, hidden, inputs, scale=0.8):

@@ -1,8 +1,9 @@
 """The 8-user command-line flow writes the bytes recorded here.
 
-``generate --users 8``, ``extract``, ``train --iterations 3 --dev-eval``
-and ``evaluate --model --baseline --sffs --sffs-k 1 --sffs-pairs 24``
-run in process on a temporary directory. The sha256 of every output is
+``generate --users 8``, ``extract``, ``train --iterations 3 --dev-eval``,
+``train --iterations 1`` at the library sizes 46/23, and ``evaluate
+--model --baseline --sffs --sffs-k 1 --sffs-pairs 24`` run in process on
+a temporary directory. The sha256 of every output is
 pinned for one platform fingerprint, because the bits depend on the
 numpy and BLAS builds, the CPU features they dispatch on and the BLAS
 thread count. On another fingerprint the exact check skips and names
@@ -36,6 +37,8 @@ SHA256 = {
     "features": "ddf686faf4952cc694e479ddf44d135865a2e9f9ec7518f1e24c65bfcfb4faed",
     "model/model.npz": "ce5023fdf3aee0e2a15ec3958c7d6b8fc91e5cb4c94ffee176990464ec134462",
     "model/training_log.csv": "b63d533d78c72b5476bec73665279559ccd6cabd7c7dd13a98f18fddf06fe839",
+    # the library sizes, where OpenBLAS's row-count effects are largest
+    "model46/model.npz": "342314cc287eb998f1ee5e8510e705cba6a1c7f7f25eb22f169a591ab25de42d",
     "eval/results.csv": "925aac23b2c9191083412c09f882f56ca6457d4bba6c42f6ea9ff6d77dc8b920",
     "eval/det.csv": "d6d24bc849ad8f55deb497e01a2b041f5917b46e4267d8b9ec83e7605ba3cef4",
     "eval/sffs_report.txt": "278054f2eccc534d10397409375316ae677825431e7a50d5450c40d23738010f",
@@ -123,6 +126,8 @@ def flow(tmp_path_factory) -> Path:
         ["extract", "--data", corpus, "--out", out / "features"],
         ["train", "--data", corpus, "--iterations", 3, "--dev-eval",
          "--out", out / "model"],
+        ["train", "--data", corpus, "--iterations", 1, "--branch-hidden", 46,
+         "--merge-hidden", 23, "--out", out / "model46"],
         ["evaluate", "--data", corpus, "--model", out / "model" / "model.npz",
          "--baseline", "--sffs", "--sffs-k", 1, "--sffs-pairs", 24,
          "--out", out / "eval"],
