@@ -22,10 +22,10 @@ outputs on as soon as they exist. ``lstm_forward_batch`` is its checked
 its first length_b steps and padding after; any other mask is a
 ValueError. Past its length a row keeps its state and emits the carried
 output, so trailing padding never changes the numbers computed at valid
-steps, bit for bit. The gradient is ``lstm_backward_batch``: the backward
-loop (``lstm_backward_steps``) followed by two whole-run products
-(``lstm_param_grads``, ``lstm_input_grads``), which a pipeline can run
-apart and in either order.
+steps, bit for bit. The gradient is ``lstm_backward_batch``, the checked
+(B, T, H) form of the backward loop (``lstm_backward_steps``) and two
+whole-run products (``lstm_param_grads``, ``lstm_input_grads``): these
+are time-major in caller order, and a pipeline can run them apart.
 
 The recurrence is packed by length. The engine sorts the rows longest
 first, so at step t the rows still running are a prefix of the batch,
@@ -291,8 +291,8 @@ def lstm_forward_steps(
 
     cache = {
         "gates": gates, "c_prev": c_prev, "c_tanh": c_tanh, "out_s": out_s,
-        "inputs_t": inputs_t, "mask_t": np.arange(n_steps)[:, None] < lengths,
-        "order": order, "inv": inv, "active": active,
+        "inputs_t": inputs_t, "order": order, "inv": inv, "active": active,
+        "mask_t": np.arange(n_steps)[:, None] < lengths,  # only bench/run.py's tracer reads it
         "W_hT": W_hT, "W_xT": W_xT, "hidden": h_size, "input": d,
     } if keep_cache else None
     return out_s, (h, C), cache
@@ -334,27 +334,31 @@ def lstm_backward_batch(
     flows back to the carried state. It is ``lstm_backward_steps``, then
     ``lstm_param_grads`` and ``lstm_input_grads`` on its result.
     """
-    dpre = lstm_backward_steps(cache, grad_outputs)
+    grad_outputs = np.asarray(grad_outputs)
+    expected = (*cache["gates"].shape[1::-1], cache["hidden"])  # (B, T, H)
+    if grad_outputs.shape != expected:
+        raise ValueError(f"grad_outputs shape {grad_outputs.shape} != {expected}")
+    dpre = lstm_backward_steps(cache, grad_outputs.transpose(1, 0, 2))
     grads = lstm_param_grads(cache, dpre)
-    return grads, lstm_input_grads(cache, dpre) if input_grad else None
+    return grads, lstm_input_grads(cache, dpre).transpose(1, 0, 2) if input_grad else None
 
 
-def lstm_backward_steps(cache: dict, grad_outputs: np.ndarray) -> np.ndarray:
+def lstm_backward_steps(cache: dict, grad_outputs_t: np.ndarray) -> np.ndarray:
     """The backward recurrence: the gate pre-activation gradients of every
-    step, (T, B, 4H) in caller row order, from which the whole-run
-    products of ``lstm_param_grads`` and ``lstm_input_grads`` follow.
+    step, (T, B, 4H), from the gradient on the emitted outputs, (T, B, H);
+    both in caller row order. The whole-run products of
+    ``lstm_param_grads`` and ``lstm_input_grads`` follow from the result.
 
     A step's elementwise arithmetic runs in the compiled
     ``lstm_backward_step`` (see the module docstring); when the library
     could not be built, this raises the build's OSError."""
     h_size = cache["hidden"]
-    n_steps, n_batch = cache["mask_t"].shape
-    grad_outputs = np.asarray(grad_outputs, dtype=np.float64)
-    if grad_outputs.shape != (n_batch, n_steps, h_size):
-        raise ValueError(
-            f"grad_outputs shape {grad_outputs.shape} != {(n_batch, n_steps, h_size)}"
-        )
     gates, c_tanh, c_prev = cache["gates"], cache["c_tanh"], cache["c_prev"]
+    n_steps, n_batch = gates.shape[:2]
+    grad_outputs_t = np.asarray(grad_outputs_t, dtype=np.float64)
+    expected = (n_steps, n_batch, h_size)
+    if grad_outputs_t.shape != expected:
+        raise ValueError(f"grad_outputs_t shape {grad_outputs_t.shape} != {expected}")
     order, active = cache["order"], cache["active"]
     for name, block, width in (("gates", gates, 4 * h_size), ("c_tanh", c_tanh, h_size),
                                ("c_prev", c_prev, h_size)):
@@ -369,7 +373,7 @@ def lstm_backward_steps(cache: dict, grad_outputs: np.ndarray) -> np.ndarray:
         raise ValueError("cache['order'] or cache['active'] does not fit the batch")
     W_h = cache["W_hT"].T
 
-    go_s = np.take(grad_outputs.transpose(1, 0, 2), order, axis=1)
+    go_s = np.take(grad_outputs_t, order, axis=1)
     dh = np.zeros((n_batch, h_size))
     dC = np.zeros((n_batch, h_size))
     rec = np.empty((n_batch, h_size))
@@ -400,16 +404,14 @@ def lstm_param_grads(cache: dict, dpre: np.ndarray) -> LstmParams:
 
 
 def lstm_input_grads(cache: dict, dpre: np.ndarray) -> np.ndarray:
-    """(B, T, D) gradient on a run's inputs, from ``lstm_backward_steps``.
+    """(T, B, D) gradient on a run's inputs, from ``lstm_backward_steps``.
 
     One product over the whole run: a product per step has another row
     count, and OpenBLAS does not always give a row the same bits then.
     """
     n_steps, n_batch, _ = dpre.shape
     flat = dpre.reshape(n_steps * n_batch, 4 * cache["hidden"])
-    return np.ascontiguousarray(
-        (flat @ cache["W_xT"].T).reshape(n_steps, n_batch, cache["input"]).transpose(1, 0, 2)
-    )
+    return (flat @ cache["W_xT"].T).reshape(n_steps, n_batch, cache["input"])
 
 
 def clip_global_norm(grad: np.ndarray, max_norm: float) -> tuple[np.ndarray, float]:

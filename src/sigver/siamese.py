@@ -16,12 +16,11 @@ which steps the merge reads: all of them (per_step) or the last one
 Scoring (score_pairs) encodes each distinct signature once per window of
 consecutive pair batches (see _windows), because a branch row does not
 depend on the pair it is in. Windows share no data, so score_pairs can
-score them in forked processes (see parallel.fork_map). Scoring keeps
-its activations time-major and in the LSTM engine's row order (longest
-row first) from the branch input to the head, so it builds no (B, T)
-mask and transposes no block; on the benchmark's 2880 development pairs
-that took score_pairs from 0.95 to 0.71 s of CPU (one pinned CPU of a
-shared 2-vCPU x86-64 host), with the same bits.
+score them in forked processes (see parallel.fork_map). Both scoring
+and training keep their activations time-major, the LSTM engine's own
+layout, from the branch input on (see _branch_input), and transpose no
+block: scoring in the engine's row order (longest row first) up to the
+head, training in caller order up to the gradient on the branch outputs.
 
 Training (batch_loss_grads, train) encodes 2n branch rows per batch of n
 pairs: the n first signatures, then the n second ones. It is a pipeline
@@ -204,24 +203,22 @@ def _seq_values(seq) -> np.ndarray:
     return values
 
 
-def _branch_values(model: SiameseModel, seqs: list) -> tuple[list, np.ndarray]:
-    """Each sequence's rows that the branch reads, and their counts (B,)."""
+def _branch_input(model: SiameseModel, seqs: list,
+                  longest_first: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Branch LSTM input (T, B, F) of B sequences, zero-padded, and their row
+    counts (B,). Row k of a step holds sequence k, or with ``longest_first``
+    sequence ``row_order(lengths)[0][k]``, which the engine reads in place."""
     cfg = model.config
     values = [_seq_values(s)[:: cfg.time_stride] for s in seqs]
     for v in values:
         if v.shape[1] != cfg.n_features:
             raise ValueError(f"expected {cfg.n_features} feature columns, got {v.shape[1]}")
-    return values, np.array([v.shape[0] for v in values], dtype=np.int64)
-
-
-def _branch_inputs(model: SiameseModel, seqs: list):
-    """Branch LSTM inputs (B, T, F) of B sequences, zero-padded, with their
-    prefix mask (B, T) and lengths (B,)."""
-    values, lengths = _branch_values(model, seqs)
-    branch_in = np.zeros((len(values), int(lengths.max()), model.config.n_features))
-    for k, v in enumerate(values):
-        branch_in[k, : v.shape[0]] = v
-    return branch_in, np.arange(branch_in.shape[1]) < lengths[:, None], lengths
+    lengths = np.array([v.shape[0] for v in values], dtype=np.int64)
+    order = row_order(lengths)[0] if longest_first else range(lengths.size)
+    branch_in_t = np.zeros((int(lengths.max()), lengths.size, cfg.n_features))
+    for k, row in enumerate(order):
+        branch_in_t[: lengths[row], k] = values[row]
+    return branch_in_t, lengths
 
 
 def _wiring(cfg: ModelConfig, lengths: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray):
@@ -295,8 +292,9 @@ def _loss(labels: np.ndarray, s_directed: np.ndarray):
 
 def _add_merge_input_grad(grad_steps: np.ndarray, merge_din: np.ndarray, n: int,
                           symmetric: bool) -> None:
-    """``grad_steps[left] += merge_din[..., :H]``, then ``grad_steps[right] +=
-    merge_din[..., H:]``, for the wiring of a training batch of n pairs.
+    """``grad_steps[:, left] += merge_din[..., :H]``, then ``grad_steps[:,
+    right] += merge_din[..., H:]``, for the wiring of a training batch of n
+    pairs; both arrays are step-major, (T, rows, .).
 
     There ``left`` is ``arange(2n)`` (``arange(n)`` when not symmetric)
     and ``right`` is its rotation by n, so slice adds give every element
@@ -304,12 +302,12 @@ def _add_merge_input_grad(grad_steps: np.ndarray, merge_din: np.ndarray, n: int,
     the same bits, at a fraction of the cost.
     """
     hb = merge_din.shape[2] // 2
-    grad_steps[: merge_din.shape[0]] += merge_din[..., :hb]
+    grad_steps[:, : merge_din.shape[1]] += merge_din[..., :hb]
     if symmetric:
-        grad_steps[n:] += merge_din[:n, :, hb:]
-        grad_steps[:n] += merge_din[n:, :, hb:]
+        grad_steps[:, n:] += merge_din[:, :n, hb:]
+        grad_steps[:, :n] += merge_din[:, n:, hb:]
     else:
-        grad_steps[n:] += merge_din[..., hb:]
+        grad_steps[:, n:] += merge_din[..., hb:]
 
 
 class _MergeStage:
@@ -352,12 +350,12 @@ class _MergeStage:
         self._saved = None
 
     def views(self, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A batch's branch outputs by step (T, B, H) in the engine's row order
-        (see lstm.row_order) and the gradient on them (B, T, H)."""
-        rows, steps = lengths.size, int(lengths.max())
-        size = rows * steps * self.model.config.branch_hidden
-        return (self._out[:size].reshape(steps, rows, -1),
-                self._grad_out[:size].reshape(rows, steps, -1))
+        """A batch's branch outputs (T, B, H) in the engine's row order (see
+        lstm.row_order), as the branch emits them, and the gradient on them
+        (T, B, H) in caller order, as the branch's backward pass reads it."""
+        shape = (int(lengths.max()), lengths.size, self.model.config.branch_hidden)
+        size = int(np.prod(shape))
+        return self._out[:size].reshape(shape), self._grad_out[:size].reshape(shape)
 
     def forward(self, lengths: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
         """Phases 1 and 2 of a batch, on the worker's side."""
@@ -387,16 +385,15 @@ class _MergeStage:
         loss, scores, dz = _loss(labels, _head(model, readout))
 
         dreadout = dz[:, None] * model.head.w[None, :]
-        grad_merge_out = np.zeros((left.size, n_steps, cfg.merge_hidden))
+        grad_merge_out = np.zeros((n_steps, left.size, cfg.merge_hidden))
         if cfg.readout == "last":
-            grad_merge_out[np.arange(dz.size), merge_len - 1] = dreadout
+            grad_merge_out[merge_len - 1, np.arange(dz.size)] = dreadout
         else:
-            merge_mask = np.arange(n_steps) < merge_len[:, None]
-            grad_merge_out[:] = ((dreadout / merge_len[:, None])[:, None, :]
-                                 * merge_mask[:, :, None])
+            merge_mask = np.arange(n_steps)[:, None] < merge_len
+            grad_merge_out[:] = (dreadout / merge_len[:, None]) * merge_mask[:, :, None]
         dpre = lstm_backward_steps(cache, grad_merge_out)
         grad_out.fill(0.0)
-        _add_merge_input_grad(grad_out[:, first : first + merge_in_t.shape[0]],
+        _add_merge_input_grad(grad_out[first : first + n_steps],
                               lstm_input_grads(cache, dpre), n, cfg.symmetric)
         self._saved = cache, dpre, readout, dz
         return loss, scores
@@ -443,12 +440,9 @@ def _windows(seq_a: list, seq_b: list) -> list[tuple[list, list]]:
 def _score_window(model: SiameseModel, seqs: list, slice_rows: list) -> np.ndarray:
     """Scores of one window's pairs: encode its sequences once, time-major
     and longest row first, then run the merge and head on each slice."""
-    values, lengths = _branch_values(  # a one-row GEMM rounds differently
-        model, seqs * 2 if len(seqs) == 1 else seqs)
+    branch_in_t, lengths = _branch_input(  # a one-row GEMM rounds differently
+        model, seqs * 2 if len(seqs) == 1 else seqs, longest_first=True)
     order, inv = row_order(lengths)
-    branch_in_t = np.zeros((int(lengths.max()), lengths.size, model.config.n_features))
-    for k, row in enumerate(order):
-        branch_in_t[: lengths[row], k] = values[row]
     branch_out_t, _, _ = lstm_forward_steps(model.branch, branch_in_t, lengths[order],
                                             keep_cache=False)
     return np.concatenate([
@@ -488,9 +482,9 @@ def batch_loss_grads(
     if n == 0:
         raise ValueError("empty batch")
     labels = np.asarray(labels, dtype=np.float64)
-    branch_in, mask, lengths = _branch_inputs(model, [*seq_a, *seq_b])
+    branch_in_t, lengths = _branch_input(model, [*seq_a, *seq_b], longest_first=False)
     if merge is None:
-        merge = _MergeStage(model, *mask.shape)
+        merge = _MergeStage(model, lengths.size, branch_in_t.shape[0])
     out, grad_out = merge.views(lengths)
     merge.params[:] = pack_params(model)
     merge.worker.submit("forward", lengths, labels)
@@ -499,11 +493,14 @@ def batch_loss_grads(
         out[t] = rows
         merge.worker.post()
 
-    _, _, branch_cache = lstm_forward_batch(model.branch, branch_in, mask, on_step=publish)
+    # the checked (B, T) forms, which the benchmark's tracer times, on views
+    mask = np.arange(branch_in_t.shape[0]) < lengths[:, None]
+    _, _, branch_cache = lstm_forward_batch(model.branch, branch_in_t.transpose(1, 0, 2),
+                                            mask, on_step=publish)
     loss, scores = merge.worker.result()
     merge.worker.submit("param_grads")
-    branch_grads, _ = lstm_backward_batch(model.branch, branch_cache, grad_out,
-                                          input_grad=False)
+    branch_grads, _ = lstm_backward_batch(model.branch, branch_cache,
+                                          grad_out.transpose(1, 0, 2), input_grad=False)
     merge.worker.result()
     return loss, np.concatenate([branch_grads.W.ravel(), branch_grads.b, merge.grads]), scores
 

@@ -28,7 +28,7 @@ from sigver.lstm import init_lstm, lstm_backward_steps, lstm_forward_steps
 rng = np.random.default_rng(7)
 _, _, cache = lstm_forward_steps(init_lstm(8, 5, rng), rng.normal(size=(6, 3, 5)),
                                  np.array([6, 2, 4]))
-dpre = lstm_backward_steps(cache, rng.normal(size=(3, 6, 8)))
+dpre = lstm_backward_steps(cache, rng.normal(size=(6, 3, 8)))
 print(kernels.library_path(), hashlib.sha256(dpre.tobytes()).hexdigest())
 """
 
@@ -37,7 +37,7 @@ def expected_backward() -> str:
     rng = np.random.default_rng(7)
     _, _, cache = lstm_forward_steps(init_lstm(8, 5, rng), rng.normal(size=(6, 3, 5)),
                                      np.array([6, 2, 4]))
-    return hashlib.sha256(lstm_backward_steps(cache, rng.normal(size=(3, 6, 8))).tobytes()
+    return hashlib.sha256(lstm_backward_steps(cache, rng.normal(size=(6, 3, 8))).tobytes()
                           ).hexdigest()
 
 

@@ -15,6 +15,8 @@ from sigver.lstm import (
     lstm_backward_steps,
     lstm_forward_batch,
     lstm_forward_steps,
+    lstm_input_grads,
+    lstm_param_grads,
     row_order,
     sigmoid,
 )
@@ -184,16 +186,16 @@ def test_packed_engine_matches_unpacked_at_ragged_heights(size, B):
     assert_matches_unpacked(params, inputs, lengths, rng.normal(0, 1, (B, T, H)))
 
 
-def numpy_backward_steps(cache, grad_outputs):
+def numpy_backward_steps(cache, grad_outputs_t):
     """The backward recurrence in numpy, as the engine ran it before its
     step's arithmetic was compiled: the oracle of ``lstm_backward_steps``."""
     h_size = cache["hidden"]
-    n_steps, n_batch = cache["mask_t"].shape
+    n_steps, n_batch = cache["gates"].shape[:2]
     gates, c_tanh, c_prev = cache["gates"], cache["c_tanh"], cache["c_prev"]
     order, inv, active = cache["order"], cache["inv"], cache["active"]
     W_h = cache["W_hT"].T
 
-    go_s = np.take(np.asarray(grad_outputs).transpose(1, 0, 2), order, axis=1)
+    go_s = np.take(np.asarray(grad_outputs_t), order, axis=1)
     dh = np.zeros((n_batch, h_size))
     dC = np.zeros((n_batch, h_size))
     dp = np.zeros((n_batch, 4 * h_size))  # rows past the active prefix stay zero
@@ -239,21 +241,21 @@ def test_compiled_backward_step_matches_numpy_oracle(B, size, kind):
     _, _, cache = lstm_forward_steps(params, scale * rng.normal(0, 1, (T, B, D)), lengths)
     if kind == "saturated":
         assert np.any(cache["gates"] == 1.0) and np.any(np.abs(cache["gates"]) < 1e-12)
-    grad_outputs = rng.normal(0, 1, (B, T, H))
-    got = lstm_backward_steps(cache, grad_outputs)
-    assert got.tobytes() == numpy_backward_steps(cache, grad_outputs).tobytes()
+    grad_outputs_t = rng.normal(0, 1, (T, B, H))
+    got = lstm_backward_steps(cache, grad_outputs_t)
+    assert got.tobytes() == numpy_backward_steps(cache, grad_outputs_t).tobytes()
 
 
 def test_backward_rejects_a_cache_the_compiled_step_cannot_index(rng):
     params = random_params(rng, 3, 2)
-    grad_outputs = np.ones((4, 5, 3))
+    grad_outputs_t = np.ones((5, 4, 3))
     for key, bad in [("order", lambda v: v + 1), ("active", lambda v: [5, *v[1:]]),
                      ("gates", lambda v: np.asfortranarray(v)),
                      ("c_prev", lambda v: v[:, :, :2])]:
         _, _, cache = lstm_forward_steps(params, rng.normal(0, 1, (5, 4, 2)), [5, 3, 5, 1])
         cache[key] = bad(cache[key])
         with pytest.raises(ValueError, match=key):
-            lstm_backward_steps(cache, grad_outputs)
+            lstm_backward_steps(cache, grad_outputs_t)
 
 
 def random_params(rng, hidden, inputs, scale=0.8):
@@ -541,6 +543,32 @@ def test_time_major_outputs_are_the_batch_outputs_transposed(size, keep_cache, r
         assert got[:, inv].transpose(1, 0, 2).tobytes() == out.tobytes()
         assert (h_t[inv].tobytes(), C_t[inv].tobytes()) == (h.tobytes(), C.tobytes())
         assert (cache is None) != keep_cache
+
+
+@pytest.mark.parametrize("size", ENGINE_SIZES, ids=lambda s: f"H{s[0]}-D{s[1]}")
+def test_time_major_gradients_are_the_batch_gradients_transposed(size, rng):
+    """``lstm_backward_steps`` reads a time-major output gradient in caller
+    order, and ``lstm_input_grads`` hands back a time-major input gradient
+    in caller order; they give the bits of ``lstm_backward_batch``, whose
+    (B, T, .) arrays are their transposes."""
+    H, D = size
+    lengths = np.array([4, 9, 4, 1, 9, 6, 4, 9, 2, 6, 1])  # unsorted, with ties
+    T = int(lengths.max()) + 3  # trailing padding on every row; T != B
+    params = random_params(rng, H, D, scale=0.3)
+    inputs = rng.normal(0, 1, (lengths.size, T, D))
+    mask = np.arange(T) < lengths[:, None]
+    _, _, cache = lstm_forward_batch(params, inputs, mask)
+    grad_outputs = rng.normal(0, 1, (lengths.size, T, H))
+    grads, dinputs = lstm_backward_batch(params, cache, grad_outputs)
+    dpre = lstm_backward_steps(cache, np.ascontiguousarray(grad_outputs.transpose(1, 0, 2)))
+    steps = lstm_param_grads(cache, dpre)
+    assert (steps.W.tobytes(), steps.b.tobytes()) == (grads.W.tobytes(), grads.b.tobytes())
+    dinputs_t = lstm_input_grads(cache, dpre)
+    assert dinputs_t.shape == (T, lengths.size, D) and dinputs_t.flags.c_contiguous
+    assert np.ascontiguousarray(dinputs_t.transpose(1, 0, 2)).tobytes() == \
+        np.ascontiguousarray(dinputs).tobytes()
+    with pytest.raises(ValueError, match="grad_outputs_t shape"):
+        lstm_backward_steps(cache, grad_outputs)
 
 
 def test_empty_sequence_returns_initial_state(rng):

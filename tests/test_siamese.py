@@ -628,14 +628,14 @@ def test_slice_scatter_equals_fancy_index_scatter(symmetric, first, steps):
     left, right, merge_len, got_first = siamese._wiring(
         cfg, lengths, np.arange(n), np.arange(n, 2 * n))
     assert (got_first, int(merge_len.max())) == (first, steps)
-    merge_din = gen.normal(size=(left.size, steps, 2 * hb))
+    merge_din = gen.normal(size=(steps, left.size, 2 * hb))
     merge_din[0, 0, :3] = [-0.0, 0.0, -1e-300]
-    expected = np.zeros((2 * n, 9, hb))
-    at = expected[:, first : first + steps]
-    at[left] += merge_din[..., :hb]
-    at[right] += merge_din[..., hb:]
+    expected = np.zeros((9, 2 * n, hb))
+    at = expected[first : first + steps]
+    at[:, left] += merge_din[..., :hb]
+    at[:, right] += merge_din[..., hb:]
     got = np.zeros_like(expected)
-    siamese._add_merge_input_grad(got[:, first : first + steps], merge_din, n, symmetric)
+    siamese._add_merge_input_grad(got[first : first + steps], merge_din, n, symmetric)
     assert got.tobytes() == expected.tobytes()
 
 

@@ -1,3 +1,4 @@
+import functools
 from unittest import mock
 
 import numpy as np
@@ -268,31 +269,41 @@ ODD_TOKENS = ["x", "1_0", "\u0663", "+7", "-0", "9223372036854775808", "-9223372
               "99999999999999999999", str(2**63 - 1), str(-(2**63)), "5-", "--5", "1.5"]
 
 
-def _odd_token(draw, rows):
-    row = draw(st.integers(1, len(rows) - 1))
+def _on_body_row(mutate):
+    """A row mutation, given a drawn body row. It does nothing once
+    ``_missing_row`` has removed every body row."""
+    @functools.wraps(mutate)
+    def mutation(draw, rows):
+        if len(rows) > 1:
+            mutate(draw, rows, draw(st.integers(1, len(rows) - 1)))
+    return mutation
+
+
+@_on_body_row
+def _odd_token(draw, rows, row):
     if rows[row]:
         rows[row][draw(st.integers(0, len(rows[row]) - 1))] = draw(st.sampled_from(ODD_TOKENS))
 
 
-def _decreasing_timestamp(draw, rows):
-    row = draw(st.integers(1, len(rows) - 1))
+@_on_body_row
+def _decreasing_timestamp(draw, rows, row):
     if row >= 2 and len(rows[row]) > 2:
         rows[row][2] = "-1"
 
 
-def _bad_pressure(draw, rows):
-    row = draw(st.integers(1, len(rows) - 1))
+@_on_body_row
+def _bad_pressure(draw, rows, row):
     if len(rows[row]) == 7:
         rows[row][6] = draw(st.sampled_from(["1024", "-1"]))
 
 
-def _five_columns(draw, rows):
-    row = draw(st.integers(1, len(rows) - 1))
+@_on_body_row
+def _five_columns(draw, rows, row):
     rows[row] = rows[row][:4] + ["0"]
 
 
-def _mixed_columns(draw, rows):
-    row = draw(st.integers(1, len(rows) - 1))
+@_on_body_row
+def _mixed_columns(draw, rows, row):
     rows[row] = rows[row][:4] if len(rows[row]) == 7 else rows[row][:4] + ["0", "0", "512"]
 
 
@@ -300,9 +311,9 @@ def _extra_row(draw, rows):
     rows.append(list(rows[-1]))
 
 
-def _missing_row(draw, rows):
-    if len(rows) > 1:
-        del rows[draw(st.integers(1, len(rows) - 1))]
+@_on_body_row
+def _missing_row(draw, rows, row):
+    del rows[row]  # it may take the last body row: "the file has 0" is worth a test
 
 
 def _odd_header(draw, rows):
@@ -322,6 +333,20 @@ def _control_character(draw, rows):
 
 MUTATIONS = [_odd_token, _decreasing_timestamp, _bad_pressure, _five_columns,
              _mixed_columns, _extra_row, _missing_row, _odd_header, _control_character]
+
+
+@given(st.data())
+def test_row_mutations_leave_a_file_without_body_rows_alone(data):
+    """Two ``_missing_row`` draws empty a 2-sample file's body; a row
+    mutation after them does nothing and asks for no body row."""
+    rows = [["2"], ["1", "2", "0"], ["3", "4", "10"]]
+    _missing_row(data.draw, rows)
+    _missing_row(data.draw, rows)
+    assert rows == [["2"]]
+    for mutate in (_odd_token, _decreasing_timestamp, _bad_pressure, _five_columns,
+                   _mixed_columns, _missing_row):
+        mutate(data.draw, rows)
+        assert rows == [["2"]], mutate.__name__
 
 
 @st.composite
