@@ -4,10 +4,88 @@
    for: the same operations on the same doubles, in the same order. That
    holds because the library is built with -ffp-contract=off, so no
    multiply and add are fused, and without -ffast-math, so no operation is
-   reordered or dropped. Only +, - and * appear: the transcendental
-   functions of numpy and libm give different bits, so they stay in numpy.
+   reordered or dropped. Only +, -, *, / and libm's exp appear. exp is
+   what scipy.special.expit calls, so the sigmoid 1 / (1 + exp(-z)) gives
+   expit's bits. numpy's tanh is not libm's tanh, so tanh stays in numpy.
 */
+#include <math.h>
 #include <stddef.h>
+
+/* The three elementwise parts of step t of the LSTM forward recurrence
+   (lstm.lstm_forward_steps), between which numpy maps tanh in place.
+
+   ``rows`` is the batch height B, ``hidden`` the width H and ``active``
+   the number of rows still running at step t, which come first in the
+   engine's row order. gates (slots, B, 4H, gates f, i, o, c) and c_tanh
+   (slots, B, H) keep one block per step, or one reused block when no
+   cache is kept; ``slot`` picks the step's block. pre and rec (B, 4H)
+   are the step's input and recurrent products, bias (4H) the gate bias,
+   h and C (B, H) the carried state and out_s (T, B, H) the outputs.
+
+   lstm_forward_gates writes z = (pre + bias) + rec of each running row
+   into its gate block: 1 / (1 + exp(-z)) for f, i and o, and z itself
+   for the candidate c, which numpy's tanh then maps in place. */
+void lstm_forward_gates(ptrdiff_t slot, ptrdiff_t active, ptrdiff_t rows, ptrdiff_t hidden,
+                        const double *restrict pre, const double *restrict bias,
+                        const double *restrict rec, double *restrict gates)
+{
+    const ptrdiff_t width = 4 * hidden, logistic = 3 * hidden;
+    double *gt = gates + slot * rows * width;
+
+    for (ptrdiff_t k = 0; k < active; k++) {
+        const double *p = pre + k * width, *r = rec + k * width;
+        double *out = gt + k * width;
+        for (ptrdiff_t j = 0; j < logistic; j++)
+            out[j] = 1.0 / (1.0 + exp(-((p[j] + bias[j]) + r[j])));
+        for (ptrdiff_t j = logistic; j < width; j++)
+            out[j] = (p[j] + bias[j]) + r[j];
+    }
+}
+
+/* Copies the running rows of C into c_prev[t] (T, B, H) when c_prev is
+   not NULL, then computes C = f * C + i * g on them. numpy's tanh of the
+   new C then fills the step's c_tanh block. */
+void lstm_forward_cell(ptrdiff_t t, ptrdiff_t slot, ptrdiff_t active, ptrdiff_t rows,
+                       ptrdiff_t hidden, const double *restrict gates, double *restrict C,
+                       double *restrict c_prev)
+{
+    const ptrdiff_t h = hidden, width = 4 * hidden;
+    const double *gt = gates + slot * rows * width;
+
+    if (c_prev != NULL) {
+        double *cp = c_prev + t * rows * h;
+        for (ptrdiff_t j = 0; j < active * h; j++)
+            cp[j] = C[j];
+    }
+    for (ptrdiff_t k = 0; k < active; k++) {
+        const double *f = gt + k * width, *i = f + h, *g = f + 3 * h;
+        double *Ck = C + k * h;
+        for (ptrdiff_t j = 0; j < h; j++)
+            Ck[j] = f[j] * Ck[j] + i[j] * g[j];
+    }
+}
+
+/* Computes h = o * c_tanh on the running rows, then copies all B rows of
+   h, the rows that stopped keeping their last output, into out_s[t]. */
+void lstm_forward_output(ptrdiff_t t, ptrdiff_t slot, ptrdiff_t active, ptrdiff_t rows,
+                         ptrdiff_t hidden, const double *restrict gates,
+                         const double *restrict c_tanh, double *restrict h,
+                         double *restrict out_s)
+{
+    const ptrdiff_t width = 4 * hidden;
+    const double *gt = gates + slot * rows * width;
+    const double *tc = c_tanh + slot * rows * hidden;
+    double *out = out_s + t * rows * hidden;
+
+    for (ptrdiff_t k = 0; k < active; k++) {
+        const double *o = gt + k * width + 2 * hidden, *tC = tc + k * hidden;
+        double *hk = h + k * hidden;
+        for (ptrdiff_t j = 0; j < hidden; j++)
+            hk[j] = o[j] * tC[j];
+    }
+    for (ptrdiff_t j = 0; j < rows * hidden; j++)
+        out[j] = h[j];
+}
 
 /* One step t of the LSTM backward recurrence (lstm.lstm_backward_steps).
 

@@ -37,22 +37,34 @@ GEMV), so a fixed height keeps the results equal to the unpacked
 recurrence's. Results are equal bit for bit to running every row at
 every step; inputs whose rows come longest first are read in place.
 
+The elementwise arithmetic of both recurrences is compiled, in
+``_kernels.c``, built with ``-ffp-contract=off`` and without
+``-ffast-math`` (see ``kernels``), so it keeps the rounding of the numpy
+expressions it stands for: the same operations in the same order. A
+forward step is three functions: ``lstm_forward_gates`` adds the bias
+and the recurrent product to the input product and takes the sigmoid
+gates, ``lstm_forward_cell`` updates the cell state and
+``lstm_forward_output`` the output. The sigmoid is 1 / (1 + exp(-z))
+with libm's ``exp``, which is what ``scipy.special.expit`` computes, bit
+for bit. numpy's SIMD ``tanh`` is not libm's, so the two ``tanh`` maps
+of a step, of the candidate gate and of the cell state, stay in numpy,
+between those calls. Both products and the input gather stay in OpenBLAS
+and numpy with the operands and shapes they had.
+
 The backward recurrence runs from the last step to the first. The
 elementwise arithmetic of a step (the output and cell-state gradients,
 the four gate gradients and the carried dC) is one compiled function,
-``lstm_backward_step`` in ``_kernels.c``, which also writes the step's
-gate gradients into a caller-order buffer. Its bits cannot differ from
-the numpy expressions it replaces: it only multiplies, adds and
-subtracts values the forward pass stored, in the same order, and it is
-built with ``-ffp-contract=off`` and without ``-ffast-math`` (see
-``kernels``). The transcendental functions, whose numpy and libm forms
-differ, stay in the forward pass, in numpy and scipy. The products stay
-in OpenBLAS with the operands and shapes they had. The forward products
-give the same bits for any row order at the sizes used here, but the
-backward recurrent product through the transposed W_h does not when
-B % 4 != 0 (K x N of 92 x 23 or 184 x 46, for instance). So that product
-runs on the caller-order buffer, as do the whole-run reductions for dW,
-db and the input gradient; the gradients come back in caller order.
+``lstm_backward_step``, which also writes the step's gate gradients into
+a caller-order buffer; it only multiplies, adds and subtracts values the
+forward pass stored. The forward products give the same bits for any row
+order at the sizes used here, but the backward recurrent product through
+the transposed W_h does not when B % 4 != 0 (K x N of 92 x 23 or
+184 x 46, for instance). So that product runs on the caller-order
+buffer, as do the whole-run reductions for dW, db and the input
+gradient; the gradients come back in caller order.
+
+Without a C compiler the package still imports, but every LSTM pass
+raises the build's one-line OSError.
 """
 from __future__ import annotations
 
@@ -61,7 +73,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import kernels
 
@@ -176,6 +187,35 @@ def row_order(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.argsort(order)
 
 
+# the functions of _kernels.c: (ptrdiff_t arguments, pointer arguments)
+_KERNELS = {"lstm_forward_gates": (4, 4), "lstm_forward_cell": (5, 3),
+            "lstm_forward_output": (5, 4), "lstm_backward_step": (4, 8)}
+
+
+def _bind_kernels() -> dict:
+    """The functions of ``_kernels.c`` by name, or, when the library cannot
+    be built, stand-ins that raise the build's OSError when called:
+    importing needs no compiler, running the LSTM does."""
+    try:
+        library = kernels.load()
+    except OSError as exc:
+        message = str(exc)
+
+        def missing(*args):
+            raise OSError(message)
+        return dict.fromkeys(_KERNELS, missing)
+    bound = {}
+    for name, (sizes, pointers) in _KERNELS.items():
+        function = getattr(library, name)
+        function.argtypes = [ctypes.c_ssize_t] * sizes + [ctypes.c_void_p] * pointers
+        function.restype = None
+        bound[name] = function
+    return bound
+
+
+_forward_gates, _forward_cell, _forward_output, _backward_step = _bind_kernels().values()
+
+
 def lstm_forward_batch(
     params: LstmParams,
     inputs: np.ndarray,
@@ -263,6 +303,16 @@ def lstm_forward_steps(
     c_tanh = np.empty((kept, n_batch, h_size))
     pre = np.empty((n_batch, 4 * h_size))
     rec = np.empty_like(pre)
+    bias = np.ascontiguousarray(params.b, dtype=np.float64)
+    if bias.shape != (4 * h_size,):  # the compiled step reads 4H values
+        raise ValueError(f"b shape {bias.shape}, expected {(4 * h_size,)}")
+    candidate = gates[:, :, 3 * h_size :]
+    # the compiled steps index these from their base pointers; the names
+    # keep the arrays alive
+    gate_blocks = [array.ctypes.data for array in (pre, bias, rec, gates)]
+    cell_blocks = [gates.ctypes.data, C.ctypes.data,  # c_prev: only the backward pass reads it
+                   None if c_prev is None else c_prev.ctypes.data]
+    output_blocks = [array.ctypes.data for array in (gates, c_tanh, h, out_s)]
 
     for t in range(n_steps):
         if before_step is not None:
@@ -273,19 +323,13 @@ def lstm_forward_steps(
         else:
             np.matmul(np.take(inputs_t[t], order, axis=0, out=x, mode="clip"), W_xT, out=pre)
         np.matmul(h, W_hT, out=rec)
-        p = pre[:a]
-        p += params.b
-        p += rec[:a]
         slot = t if keep_cache else 0
-        gt = gates[slot, :a]
-        expit(p[:, : 3 * h_size], out=gt[:, : 3 * h_size])
-        np.tanh(p[:, 3 * h_size :], out=gt[:, 3 * h_size :])
-        f, i, o, g = (gt[:, k * h_size : (k + 1) * h_size] for k in range(4))
-        if keep_cache:  # only the backward pass reads the previous cell state
-            c_prev[t, :a] = C[:a]
-        C[:a] = f * C[:a] + i * g
-        np.multiply(o, np.tanh(C[:a], out=c_tanh[slot, :a]), out=h[:a])
-        out_s[t] = h
+        _forward_gates(slot, a, n_batch, h_size, *gate_blocks)
+        g = candidate[slot, :a]
+        np.tanh(g, out=g)
+        _forward_cell(t, slot, a, n_batch, h_size, *cell_blocks)
+        np.tanh(C[:a], out=c_tanh[slot, :a])
+        _forward_output(t, slot, a, n_batch, h_size, *output_blocks)
         if on_step is not None:
             on_step(t, out_s[t])
 
@@ -296,26 +340,6 @@ def lstm_forward_steps(
         "W_hT": W_hT, "W_xT": W_xT, "hidden": h_size, "input": d,
     } if keep_cache else None
     return out_s, (h, C), cache
-
-
-def _bind_backward_step():
-    """``lstm_backward_step`` of ``_kernels.c``, or, when the library cannot
-    be built, a stand-in that raises the build's OSError: importing needs
-    no compiler, training does."""
-    try:
-        step = kernels.load().lstm_backward_step
-    except OSError as exc:
-        message = str(exc)
-
-        def step(*args):
-            raise OSError(message)
-        return step
-    step.argtypes = [ctypes.c_ssize_t] * 4 + [ctypes.c_void_p] * 8
-    step.restype = None
-    return step
-
-
-_backward_step = _bind_backward_step()
 
 
 def lstm_backward_batch(

@@ -61,15 +61,22 @@ def built(root: Path) -> list:
 
 def test_flags_keep_numpy_bits():
     assert "-ffp-contract=off" in kernels.FLAGS
-    command = {*kernels.compiler(), *kernels.FLAGS}
+    assert kernels.LIBS == ("-lm",)
+    command = {*kernels.compiler(), *kernels.FLAGS, *kernels.LIBS}
     assert not command & {"-ffast-math", "-Ofast", "-march=native"}
 
 
 def test_source_builds_without_warnings(tmp_path):
     proc = subprocess.run([*kernels.compiler(), *kernels.FLAGS, "-Wall", "-Wextra", "-Werror",
-                           "-o", str(tmp_path / "k.so"), str(kernels.SOURCE)],
+                           "-o", str(tmp_path / "k.so"), str(kernels.SOURCE), *kernels.LIBS],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_library_name_hashes_the_linked_libraries(monkeypatch):
+    path = kernels.library_path()
+    monkeypatch.setattr(kernels, "LIBS", ())
+    assert kernels.library_path() != path
 
 
 def test_missing_compiler_fails_training_with_one_error_line(cold_copy, tmp_path):
@@ -79,13 +86,30 @@ def test_missing_compiler_fails_training_with_one_error_line(cold_copy, tmp_path
     corpus = tmp_path / "corpus"
     assert cli.main(["generate", "--users", "4", "--min-duration", "0.3",
                      "--max-duration", "0.4", "--out", str(corpus)]) == 0
-    proc = run(cold_copy, ["-m", "sigver.cli", "train", "--data", str(corpus),
-                           "--dev-users", "2", "--iterations", "1", "--out", "model"],
-               cwd=tmp_path, PATH="")
-    assert proc.returncode == 1, proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
-    assert f"C compiler {cc!r} not found" in lines[0]
+    # built by this process, which has the compiler
+    assert cli.main(["train", "--data", str(corpus), "--dev-users", "2", "--iterations", "1",
+                     "--out", str(tmp_path / "built")]) == 0
+    model = tmp_path / "built" / "model.npz"
+    # every LSTM pass needs the library: training and scoring
+    for args in (["train", "--data", str(corpus), "--dev-users", "2", "--iterations", "1",
+                  "--out", "model"],
+                 ["evaluate", "--data", str(corpus), "--dev-users", "2", "--model", str(model),
+                  "--out", "scored"]):
+        proc = run(cold_copy, ["-m", "sigver.cli", *args], cwd=tmp_path, PATH="")
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert f"C compiler {cc!r} not found" in lines[0]
+        assert "the LSTM needs a C compiler" in lines[0]
+    # the commands that run no LSTM still work
+    for args in (["generate", "--users", "2", "--min-duration", "0.3", "--max-duration", "0.4",
+                  "--out", "again"],
+                 ["extract", "--data", str(corpus), "--out", "features"],
+                 ["evaluate", "--data", str(corpus), "--dev-users", "2", "--baseline",
+                  "--out", "baseline"],
+                 ["report", str(tmp_path / "baseline" / "results.csv")]):
+        proc = run(cold_copy, ["-m", "sigver.cli", *args], cwd=tmp_path, PATH="")
+        assert proc.returncode == 0, proc.stderr
     assert built(cold_copy) == []
 
 
@@ -102,6 +126,18 @@ def test_warm_cache_loads_without_compiling(cold_copy, tmp_path):
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     assert built(cold_copy) == [Path(path).name]
     assert digest == expected_backward()
+
+
+def test_a_build_removes_the_libraries_of_earlier_sources(cold_copy, tmp_path):
+    first = run(cold_copy, ["-c", BACKWARD], cwd=tmp_path)
+    assert first.returncode == 0, first.stderr
+    with open(cold_copy / "sigver" / kernels.SOURCE.name, "a") as source:
+        source.write("/* an edit */\n")
+    second = run(cold_copy, ["-c", BACKWARD], cwd=tmp_path)
+    assert second.returncode == 0, second.stderr
+    path = second.stdout.split()[0]
+    assert path != first.stdout.split()[0]
+    assert built(cold_copy) == [Path(path).name]
 
 
 def test_processes_building_at_once_each_load_a_whole_library(cold_copy, tmp_path):

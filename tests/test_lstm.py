@@ -8,6 +8,7 @@ from scipy.special import expit
 
 from sigver.lstm import (
     LstmParams,
+    _forward_gates,
     clip_global_norm,
     init_dense,
     init_lstm,
@@ -186,6 +187,115 @@ def test_packed_engine_matches_unpacked_at_ragged_heights(size, B):
     assert_matches_unpacked(params, inputs, lengths, rng.normal(0, 1, (B, T, H)))
 
 
+def numpy_forward_steps(params, inputs_t, lengths, keep_cache=True):
+    """The forward recurrence in numpy, as the engine ran it before its
+    step's arithmetic was compiled: the oracle of ``lstm_forward_steps``.
+    Returns (outputs, (final h, final C), (gates, c_prev, c_tanh) or None)."""
+    n_steps, n_batch, d = inputs_t.shape
+    h_size = params.hidden_size
+    order, _ = row_order(lengths)
+    active = (n_batch - np.cumsum(np.bincount(lengths, minlength=n_steps))[:n_steps]).tolist()
+    W_hT = np.ascontiguousarray(params.W[:, :h_size].T)
+    W_xT = np.ascontiguousarray(params.W[:, h_size:].T)
+    h = np.zeros((n_batch, h_size))
+    C = np.zeros((n_batch, h_size))
+    x = np.empty((n_batch, d))
+    out_s = np.empty((n_steps, n_batch, h_size))
+    kept = n_steps if keep_cache else 1
+    gates = np.empty((kept, n_batch, 4 * h_size))
+    c_prev = np.empty((n_steps, n_batch, h_size)) if keep_cache else None
+    c_tanh = np.empty((kept, n_batch, h_size))
+    pre = np.empty((n_batch, 4 * h_size))
+    rec = np.empty_like(pre)
+    for t in range(n_steps):
+        a = active[t]
+        np.matmul(np.take(inputs_t[t], order, axis=0, out=x, mode="clip"), W_xT, out=pre)
+        np.matmul(h, W_hT, out=rec)
+        p = pre[:a]
+        p += params.b
+        p += rec[:a]
+        slot = t if keep_cache else 0
+        gt = gates[slot, :a]
+        expit(p[:, : 3 * h_size], out=gt[:, : 3 * h_size])
+        np.tanh(p[:, 3 * h_size :], out=gt[:, 3 * h_size :])
+        f, i, o, g = (gt[:, k * h_size : (k + 1) * h_size] for k in range(4))
+        if keep_cache:
+            c_prev[t, :a] = C[:a]
+        C[:a] = f * C[:a] + i * g
+        np.multiply(o, np.tanh(C[:a], out=c_tanh[slot, :a]), out=h[:a])
+        out_s[t] = h
+    return out_s, (h, C), (gates, c_prev, c_tanh) if keep_cache else None
+
+
+def running_rows(block, active):
+    """The rows a step computed, step after step; the rows past a step's
+    active prefix are never written."""
+    return b"".join(block[t, :a].tobytes() for t, a in enumerate(active))
+
+
+@pytest.mark.parametrize("keep_cache", [True, False], ids=["cache", "no-cache"])
+@pytest.mark.parametrize("read", ["in-place", "gathered"])
+@pytest.mark.parametrize("size", ENGINE_SIZES, ids=lambda s: f"H{s[0]}-D{s[1]}")
+@pytest.mark.parametrize("B", [1, 2, 3, 5, 128, 139])
+def test_compiled_forward_step_matches_numpy_oracle(B, size, read, keep_cache):
+    H, D = size
+    rng = np.random.default_rng(B * 1000 + H * 10 + len(read))
+    T = 12
+    lengths = rng.integers(1, T + 1, B)  # one row of length 1; steps past every row at B 1
+    lengths[B // 2] = T
+    lengths[0] = 1
+    params = random_params(rng, H, D, scale=0.3)
+    # every third gate unit gets a pre-activation of +-710 to +-800, where
+    # exp(-z) overflows to inf or underflows to 0
+    units = params.b[::3].size
+    params.b[::3] = rng.choice([-1.0, 1.0], units) * rng.uniform(710, 800, units)
+    if read == "in-place":  # longest first, C-order: the engine reads the block in place
+        lengths = np.sort(lengths)[::-1]
+        inputs_t = rng.normal(0, 1, (T, B, D))
+    else:  # a strided view, in caller order: the engine gathers each step
+        inputs_t = rng.normal(0, 1, (T, B, 2 * D))[:, :, ::2]
+    out_s, (h, C), cache = lstm_forward_steps(params, inputs_t, lengths, keep_cache)
+    ref_out, (ref_h, ref_C), ref_cache = numpy_forward_steps(params, inputs_t, lengths,
+                                                             keep_cache)
+    assert out_s.tobytes() == ref_out.tobytes()
+    assert h.tobytes() == ref_h.tobytes()
+    assert C.tobytes() == ref_C.tobytes()
+    if not keep_cache:
+        assert cache is None
+        return
+    active = cache["active"]
+    for name, ref in zip(("gates", "c_prev", "c_tanh"), ref_cache):
+        assert running_rows(cache[name], active) == running_rows(ref, active), name
+    sigmoid_gates = cache["gates"][0, :1, : 3 * H]  # step 0 runs every row
+    assert np.any(sigmoid_gates == 0.0) and np.any(sigmoid_gates == 1.0)
+
+
+def compiled_sigmoid(values):
+    """The sigmoid gates of ``lstm_forward_gates`` on ``values``: one row of
+    width 4, whose bias and recurrent product are -0.0, so z is the value."""
+    values = np.asarray(values, dtype=np.float64)
+    pre = np.zeros((values.size, 4))
+    pre[:, :3] = values[:, None]
+    zeros = np.full_like(pre, -0.0)
+    gates = np.empty_like(pre)
+    _forward_gates(0, values.size, values.size, 1, pre.ctypes.data, zeros[0].ctypes.data,
+                   zeros.ctypes.data, gates.ctypes.data)
+    assert gates[:, 3].tobytes() == pre[:, 3].tobytes()  # the candidate is z itself
+    return gates[:, :3]
+
+
+def test_compiled_sigmoid_is_scipy_expit_bit_for_bit():
+    rng = np.random.default_rng(29)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    extremes = [0.0, -0.0, 709.78, -709.78, 745.0, -745.0, 710.0, -710.0, 800.0, -800.0,
+                tiny, -tiny, 1e-310, -1e-310, np.finfo(np.float64).tiny, 37.0, -37.0]
+    values = np.concatenate([rng.normal(0, 1, 10**6) * 10.0 ** rng.uniform(-8, 3, 10**6),
+                             extremes])
+    got = compiled_sigmoid(values)
+    want = expit(values)
+    assert all(got[:, k].tobytes() == want.tobytes() for k in range(3))
+
+
 def numpy_backward_steps(cache, grad_outputs_t):
     """The backward recurrence in numpy, as the engine ran it before its
     step's arithmetic was compiled: the oracle of ``lstm_backward_steps``."""
@@ -256,6 +366,13 @@ def test_backward_rejects_a_cache_the_compiled_step_cannot_index(rng):
         cache[key] = bad(cache[key])
         with pytest.raises(ValueError, match=key):
             lstm_backward_steps(cache, grad_outputs_t)
+
+
+def test_forward_rejects_a_bias_the_compiled_step_cannot_read(rng):
+    params = random_params(rng, 3, 2)
+    params.b = params.b[:-1]
+    with pytest.raises(ValueError, match="b shape"):
+        lstm_forward_steps(params, rng.normal(0, 1, (5, 4, 2)), [5, 3, 5, 1])
 
 
 def random_params(rng, hidden, inputs, scale=0.8):
