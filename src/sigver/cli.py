@@ -100,24 +100,15 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
                     raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
                 parsed: object = _FLAG_WORDS[text.lower()]
             elif action.nargs == "+":  # a list: whitespace-separated items
-                parsed = [_config_value(action, item) for item in text.split()]
+                parsed = [action.type(item) for item in text.split()]
                 if not parsed:
                     raise ValueError("expected at least one value")
             else:
-                parsed = _config_value(action, text)
+                parsed = action.type(text)
         except (argparse.ArgumentTypeError, ValueError) as exc:
             raise UsageError(f"{known.config}: bad value for {key}: {exc}") from exc
         sub.set_defaults(**{key: parsed})
         action.required = False
-
-
-def _config_value(action: argparse.Action, text: str) -> object:
-    """One config-file value, converted and checked as its option would be."""
-    parsed = text if action.type is None else action.type(text)
-    if action.choices is not None and parsed not in action.choices:
-        raise ValueError(f"invalid choice {text!r} (choose from "
-                         f"{', '.join(map(str, action.choices))})")
-    return parsed
 
 
 def _path(text: str) -> str:
@@ -200,7 +191,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         patience=args.patience,
         clip_norm=args.clip_norm,
         seed=args.seed,
-        optimizer=args.optimizer,
         stop_below_cost=args.stop_below_cost,
     )
     split = _split_from_args(args)
@@ -412,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--branch-hidden", type=int, default=16)
     t.add_argument("--merge-hidden", type=int, default=8)
     t.add_argument("--time-stride", type=int, default=3)
-    t.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
     t.add_argument("--patience", type=int, default=0)
     t.add_argument("--clip-norm", type=float, default=5.0)
     t.add_argument("--stop-below-cost", type=float, default=0.05)
@@ -467,6 +456,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError, TrainingDiverged) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # forked workers end on the way out (see parallel)
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

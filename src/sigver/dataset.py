@@ -28,8 +28,11 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         for name in ("enrollment_per_user", "test_genuine_per_user", "forgeries_per_user"):
-            if getattr(self, name) < 0:
-                raise ProtocolError(f"{name} must be non-negative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ProtocolError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ProtocolError(f"{name} must be non-negative, got {value}")
 
 
 DEFAULT_PROTOCOL = ProtocolConfig()

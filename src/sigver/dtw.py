@@ -34,6 +34,9 @@ class DtwConfig:
         cols = self.selected_columns
         if not cols:
             raise ValueError("selected_columns must be non-empty")
+        for name, values in (("selected_columns", cols), ("band", (self.band,))):
+            if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+                raise ValueError(f"{name} takes integers only, got {getattr(self, name)!r}")
         if len(set(cols)) != len(cols):
             raise ValueError("selected_columns contains duplicates")
         if min(cols) < 1 or max(cols) > N_FEATURES:

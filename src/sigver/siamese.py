@@ -4,8 +4,8 @@ readout giving a similarity score in (0, 1).
 
 Both branches read the same parameter object, so weight sharing is
 structural rather than a synchronized copy. Scores are symmetrized by
-default (mean over both presentation orders); pairs of different length
-are padded with masked steps, which the LSTM engine treats as no-ops.
+default (mean over both presentation orders). The LSTM engine takes a
+length per row; past it a row carries its state and repeats its output.
 
 Merge row r reads branch rows ``left[r]`` and ``right[r]`` (see
 _wiring): of n pairs, rows 0..n-1 read pair r as (a, b) and, when
@@ -39,7 +39,7 @@ import json
 import mmap
 import time
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass
 
 import numpy as np
 
@@ -136,10 +136,16 @@ class TrainConfig:
     patience: int = 0  # 0 disables early stopping
     clip_norm: float = 5.0  # 0 disables clipping
     seed: int = 0
-    optimizer: str = "adam"  # "adam" | "sgd"
+    # Adam is the only update rule: this keyword, "adam" only and stored nowhere,
+    # stays for bench/run.py:120 until ROADMAP item 3 edits that line
+    optimizer: InitVar[str] = "adam"
     stop_below_cost: float = 0.0  # stop once mean cost drops under this; 0 disables
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, optimizer: str) -> None:
+        for name in ("batch_size", "max_iterations", "patience", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not np.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.batch_size < 1:
@@ -150,8 +156,8 @@ class TrainConfig:
             if not value >= 0:  # NaN fails too
                 zero = " (0 disables it)" if name in disabled_by_zero else ""
                 raise ValueError(f"{name} must be non-negative{zero}, got {value}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if optimizer != "adam":
+            raise ValueError(f"unknown optimizer {optimizer!r}: training uses Adam")
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator) -> SiameseModel:
@@ -226,7 +232,7 @@ def _wiring(cfg: ModelConfig, lengths: np.ndarray, rows_a: np.ndarray, rows_b: n
     rows: (left, right, merge_len, first). Merge row r reads branch rows
     ``left[r]`` and ``right[r]`` and is valid for ``merge_len[r]`` steps;
     merge step t reads branch step ``first + t``. Past its length a branch
-    row repeats its final output (the engine's masked step)."""
+    row repeats its final output (see lstm_forward_steps)."""
     left = np.concatenate([rows_a, rows_b]) if cfg.symmetric else rows_a
     right = np.concatenate([rows_b, rows_a]) if cfg.symmetric else rows_b
     if cfg.concat == "per_step":
@@ -558,15 +564,12 @@ def train(
                 loss, grad, _ = batch_loss_grads(current, seq_a, seq_b, labels, merge)
                 loss_sum += loss * len(batch)
                 grad, _ = clip_global_norm(grad, cfg.clip_norm)
-                if cfg.optimizer == "adam":
-                    step += 1
-                    adam_m = beta1 * adam_m + (1.0 - beta1) * grad
-                    adam_v = beta2 * adam_v + (1.0 - beta2) * grad * grad
-                    m_hat = adam_m / (1.0 - beta1**step)
-                    v_hat = adam_v / (1.0 - beta2**step)
-                    vec = vec - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
-                else:
-                    vec = vec - cfg.learning_rate * grad
+                step += 1
+                adam_m = beta1 * adam_m + (1.0 - beta1) * grad
+                adam_v = beta2 * adam_v + (1.0 - beta2) * grad * grad
+                m_hat = adam_m / (1.0 - beta1**step)
+                v_hat = adam_v / (1.0 - beta2**step)
+                vec = vec - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
                 current = unpack_params(model, vec)
 
             mean_cost = loss_sum / len(data)

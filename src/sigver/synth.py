@@ -51,9 +51,12 @@ class SynthConfig:
     max_duration: float = 4.0
 
     def __post_init__(self) -> None:
-        for name in ("n_users", "n_sessions", "genuine_per_session", "forgeries_per_user"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("n_users", "n_sessions", "genuine_per_session", "forgeries_per_user", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "seed":
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name in ("session_jitter", "forgery_noise"):

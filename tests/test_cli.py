@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process through cli.main."""
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import inspect
@@ -12,13 +13,15 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sigver import cli, parallel, siamese
-from sigver.dataset import ProtocolConfig
+from sigver.dataset import ProtocolConfig, ProtocolError
 from sigver.dtw import DtwConfig
 from sigver.features import extract_features
 from sigver.siamese import ModelConfig, TrainConfig, TrainingDiverged
@@ -157,7 +160,7 @@ def test_option_surface_is_pinned():
         "extract": {"config", "data", "manifest", "raw", "out"},
         "train": {"config", "seed", "data", "manifest", "dev_users", "iterations",
                   "batch_size", "learning_rate", "branch_hidden", "merge_hidden",
-                  "time_stride", "optimizer", "patience", "clip_norm",
+                  "time_stride", "patience", "clip_norm",
                   "stop_below_cost", "dev_eval", "out"},
         "evaluate": {"config", "data", "manifest", "dev_users", "model", "baseline",
                      "sffs", "sffs_k", "sffs_pairs", "columns", "band", "det_points",
@@ -178,12 +181,17 @@ def test_library_settable_values_are_pinned():
         "ModelConfig": ["n_features", "branch_hidden", "merge_hidden", "symmetric",
                         "concat", "readout", "time_stride"],
         "TrainConfig": ["learning_rate", "batch_size", "max_iterations", "patience",
-                        "clip_norm", "seed", "optimizer", "stop_below_cost"],
+                        "clip_norm", "seed", "stop_below_cost"],
         "DtwConfig": ["selected_columns", "band"],
         "ProtocolConfig": ["enrollment_per_user", "test_genuine_per_user",
                            "forgeries_per_user"],
     }
     assert list(inspect.signature(extract_features).parameters) == ["record", "normalize"]
+    # optimizer is an init-only keyword that takes "adam" alone and is stored nowhere
+    assert TrainConfig(optimizer="adam") == TrainConfig()
+    for other in ("sgd", "Adam", "", None):
+        with pytest.raises(ValueError, match="optimizer"):
+            TrainConfig(optimizer=other)
 
 
 def assert_option_is_unknown(argv, flag, key, value, tmp_path, capsys):
@@ -205,6 +213,24 @@ def assert_option_is_unknown(argv, flag, key, value, tmp_path, capsys):
 def test_removed_extract_options_are_usage_errors(option, tmp_path, capsys):
     assert_option_is_unknown(["extract", "--data", "d", "--out", "o"],
                              ["--" + option.replace("_", "-")], option, 1, tmp_path, capsys)
+
+
+def test_optimizer_is_a_usage_error(tmp_path, capsys):
+    """Training uses Adam only, so there is no option to choose it."""
+    assert_option_is_unknown(["train", "--data", "d", "--out", "o"],
+                             ["--optimizer", "adam"], "optimizer", "adam", tmp_path, capsys)
+
+
+def test_every_valued_option_has_a_type():
+    """A config-file value goes through its option's ``type`` alone, so an
+    option that is not a flag needs one, and no option has ``choices``."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, p in sub.choices.items():
+        for action in p._actions:
+            assert action.choices is None, (command, action.dest)
+            if action.nargs != 0:
+                assert callable(action.type), (command, action.dest)
 
 
 @pytest.mark.parametrize("argv", [
@@ -496,13 +522,6 @@ def config_misspelt_flag(tmp, corpus):
             "0/false/no/off, got 'ture'")
 
 
-def config_bad_choice(tmp, corpus):
-    cfg = tmp / "train.cfg"
-    cfg.write_text("optimizer = foo\n")
-    return (["train", "--config", cfg, "--data", corpus, "--out", tmp / "m"], 2,
-            f"usage error: {cfg}: bad value for optimizer: invalid choice 'foo'")
-
-
 def corpus_bad_session(tmp, corpus):
     (tmp / "data" / "u0").mkdir(parents=True)
     (tmp / "data" / "u0" / "genuine_x_00.svc").write_text("2\n0 0 0 1\n1 1 10 1\n")
@@ -728,7 +747,7 @@ def model_empty_head_b(tmp, corpus):
 
 @pytest.mark.parametrize("case", [
     results_without_system, config_bad_columns, config_bad_users,
-    config_misspelt_flag, config_bad_choice, corpus_bad_session, corpus_bad_token,
+    config_misspelt_flag, corpus_bad_session, corpus_bad_token,
     corpus_int64_overflow, manifest_bad_session, corpus_session_zero, manifest_session_zero,
     corpus_non_ascii_session, manifest_non_ascii_session, corpus_too_short,
     corpus_duplicate_key, sffs_k_zero, sffs_pairs_one_class, sffs_pairs_below_one(0),
@@ -842,12 +861,23 @@ def test_bad_setting_fails_before_any_file_is_read(argv, message, tmp_path, caps
     (SynthConfig, "session_jitter", float("nan")), (DtwConfig, "band", -1),
     (SynthConfig, "seed", -1), (TrainConfig, "seed", -1),
     (ProtocolConfig, "forgeries_per_user", -1),
+    # counts, seeds, the band and the columns are integers, not floats or bools
+    (TrainConfig, "batch_size", 2.5), (TrainConfig, "max_iterations", True),
+    (TrainConfig, "patience", 1.0), (TrainConfig, "seed", 1.5),
+    (SynthConfig, "n_users", 2.5), (SynthConfig, "n_sessions", True),
+    (SynthConfig, "genuine_per_session", 4.0), (SynthConfig, "forgeries_per_user", 1.5),
+    (SynthConfig, "seed", 7.0), (ProtocolConfig, "enrollment_per_user", 1.5),
+    (ProtocolConfig, "test_genuine_per_user", True),
+    (ProtocolConfig, "forgeries_per_user", 12.0), (DtwConfig, "band", 1.5),
+    (DtwConfig, "band", False), (DtwConfig, "selected_columns", (1.5,)),
+    (DtwConfig, "selected_columns", (1, True)),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
 def test_configs_check_themselves_when_built(cls, field, bad):
     assert not hasattr(cls, "validate")
-    with pytest.raises(ValueError, match=field):
+    error = ProtocolError if cls is ProtocolConfig else ValueError
+    with pytest.raises(error, match=field):
         cls(**{field: bad})
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(error, match=field):
         dataclasses.replace(cls(), **{field: bad})
 
 
@@ -866,6 +896,46 @@ def test_failure_kinds_end_in_one_line(failure, line, tmp_path, monkeypatch, cap
     monkeypatch.setattr(cli, "generate", fail)
     assert run("generate", "--users", 1, "--out", tmp_path / "c") == 1
     assert capsys.readouterr().err == line + "\n"
+
+
+def test_interrupt_ends_in_one_line(tmp_path, monkeypatch, capsys):
+    def interrupted(cfg, root):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "generate", interrupted)
+    assert run("generate", "--users", 1, "--out", tmp_path / "c") == 130
+    assert capsys.readouterr().err == "interrupted\n"
+
+
+def test_ctrl_c_in_training_ends_the_worker(corpus, tmp_path):
+    """SIGINT while `train` runs: exit 130 with one line, and the forked merge
+    worker is gone with its caller. The child gets the default SIGINT
+    action, which a shell's background job would not have."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "sigver.cli", "train", "--data", str(corpus),
+         "--iterations", "100000", "--stop-below-cost", "0", "--out", str(tmp_path / "m")],
+        env=env, start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    # a child that never prints is killed, so reading its stdout ends
+    watchdog = threading.Timer(120, os.killpg, (proc.pid, signal.SIGKILL))
+    watchdog.start()
+    try:
+        for line in proc.stdout:
+            if line.startswith("development users"):
+                break
+        time.sleep(1.0)  # into the training loop, with the worker forked
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130, err
+        assert err == "interrupted\n"
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        watchdog.cancel()
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 def test_a_bug_keeps_its_traceback(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from sigver.features import (
     EPS,
     FEATURE_NAMES,
     N_FEATURES,
+    FeatureSequence,
     derivative,
     extract_features,
     write_feature_csv,
@@ -65,6 +66,16 @@ def test_too_short_record_rejected():
     rec = make_record(np.arange(6), np.arange(6))
     with pytest.raises(ValueError, match=f"^{rec.key}: sequence too short: 6 samples"):
         extract_features(rec)
+
+
+def test_feature_sequence_validate():
+    FeatureSequence(np.zeros((7, N_FEATURES)), "k").validate()
+    with pytest.raises(InvariantError, match=r"^k: feature matrix must be T x 23, got \(7, 22\)$"):
+        FeatureSequence(np.zeros((7, N_FEATURES - 1)), "k").validate()
+    nan = np.zeros((7, N_FEATURES))
+    nan[3, 5] = np.nan
+    with pytest.raises(InvariantError, match="^k: non-finite feature values$"):
+        FeatureSequence(nan, "k").validate()
 
 
 def test_straight_line_geometry():

@@ -716,6 +716,10 @@ def test_shape_validation(rng):
     with pytest.raises(ValueError, match="W shape"):
         bad.validate()
     bad = random_params(rng, 3, 2)
+    bad.W = np.zeros((12, 3))  # (4H, H): no input column
+    with pytest.raises(ValueError, match=r"^W shape \(12, 3\) implies input size 0$"):
+        bad.validate()
+    bad = random_params(rng, 3, 2)
     bad.b = np.zeros(9)
     with pytest.raises(ValueError, match="b shape"):
         bad.validate()

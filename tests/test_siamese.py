@@ -654,6 +654,13 @@ def test_empty_sequence_rejected(rng):
         train(model, pairs, {"real": real, "empty": empty}, TrainConfig(max_iterations=1))
 
 
+def test_sequence_must_be_a_matrix(rng):
+    model = tiny_model(rng)
+    real = random_seq(rng, 9)
+    with pytest.raises(ValueError, match="^a feature sequence must be a T x D matrix$"):
+        score_pairs(model, [real], [real[None]])
+
+
 def test_empty_pair_list_rejected(rng):
     with pytest.raises(ValueError, match="empty pair list"):
         train(tiny_model(rng), [], {}, TrainConfig())
@@ -705,6 +712,9 @@ def test_load_rejects_bad_files(tmp_path, rng):
     nan_head_w = dict(entries, head_w=entries["head_w"].copy())
     nan_head_w["head_w"][3] = np.nan
     config = json.loads(str(entries["config"]))
+    # one input column fewer in every merge gate: the merge reads 31, not 2 x 16
+    narrow_merge = dict(entries, **{f"merge_W_{g}": entries[f"merge_W_{g}"][:, :-1]
+                                    for g in "fioc"})
 
     def with_config(**changes):
         return dict(entries, config=json.dumps({**config, **changes}))
@@ -721,6 +731,8 @@ def test_load_rejects_bad_files(tmp_path, rng):
         ("word_symmetric", with_config(symmetric="no"), "symmetric must be true or false"),
         ("wide_branch", with_config(branch_hidden=46), "branch hidden size"),
         ("wide_merge", with_config(merge_hidden=23), "merge hidden size"),
+        ("few_features", with_config(n_features=22), "branch input size != feature count"),
+        ("narrow_merge", narrow_merge, "merge input size != 2 x branch hidden size"),
     ]
     for name, bad, why in cases:
         path = tmp_path / f"{name}.npz"
